@@ -37,8 +37,11 @@
 //! The map is split into [`SHARDS`] independently-locked shards selected
 //! by the key's hash, so concurrent lookups for different keys rarely
 //! contend, and the hit/miss counters are a single packed [`AtomicU64`]
-//! — one relaxed `fetch_add` per lookup instead of the three mutex
+//! — one relaxed read-modify-write per lookup instead of the three mutex
 //! acquisitions (entries + hits + misses) the first implementation paid.
+//! Each 32-bit half saturates at `u32::MAX`: it neither wraps nor
+//! carries into the other half, so one load still yields a coherent
+//! (hits, misses) pair.
 //! All counters are **cumulative for the life of the engine**: neither
 //! the policy-change sweep nor [`ValidityCache::clear`] resets them, so
 //! a churn bench reads true hit rates across invalidations.
@@ -61,6 +64,23 @@ const SHARDS: usize = 16;
 /// high 32 bits, misses in the low 32.
 const HIT_UNIT: u64 = 1 << 32;
 const MISS_UNIT: u64 = 1;
+/// The largest count one half of a packed word holds.
+const HALF_MAX: u64 = u32::MAX as u64;
+
+/// Adds one `unit` to a packed counter pair, saturating that half at
+/// [`HALF_MAX`]: a full half stays full instead of wrapping (hits) or
+/// carrying into its neighbour (misses).
+fn bump(pair: &AtomicU64, unit: u64) {
+    let _saturated = pair.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |packed| {
+        // Lazy: at saturation `packed + unit` may overflow.
+        ((packed / unit) & HALF_MAX < HALF_MAX).then(|| packed + unit)
+    });
+}
+
+/// Splits a packed counter pair into (high, low) halves.
+fn unpack(packed: u64) -> (u64, u64) {
+    (packed >> 32, packed & HALF_MAX)
+}
 
 /// Cache lookup result.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,9 +163,8 @@ struct Entry {
 #[derive(Debug)]
 pub struct ValidityCache {
     shards: [Mutex<HashMap<(String, u64), Entry>>; SHARDS],
-    /// `hits << 32 | misses`, updated with one relaxed fetch_add per
-    /// lookup. Each half holds 2^32 lookups; the process-lifetime counts
-    /// this engine sees stay far below that.
+    /// `hits << 32 | misses`, updated with one relaxed read-modify-write
+    /// per lookup; each half saturates at `u32::MAX` (see [`bump`]).
     counters: AtomicU64,
     /// `revalidation_hits << 32 | revalidation_misses`, same packing.
     revalidations: AtomicU64,
@@ -196,11 +215,11 @@ impl ValidityCache {
     }
 
     fn count_hit(&self) {
-        self.counters.fetch_add(HIT_UNIT, Ordering::Relaxed);
+        bump(&self.counters, HIT_UNIT);
     }
 
     fn count_miss(&self) {
-        self.counters.fetch_add(MISS_UNIT, Ordering::Relaxed);
+        bump(&self.counters, MISS_UNIT);
     }
 
     /// Looks up a verdict for (user, plan) at the given data version and
@@ -299,7 +318,7 @@ impl ValidityCache {
             }
         }
         self.count_hit();
-        self.revalidations.fetch_add(HIT_UNIT, Ordering::Relaxed);
+        bump(&self.revalidations, HIT_UNIT);
     }
 
     /// Drops a stale entry whose certificate failed re-verification.
@@ -310,7 +329,7 @@ impl ValidityCache {
             .lock()
             .remove(&(user.to_string(), fingerprint));
         self.count_miss();
-        self.revalidations.fetch_add(MISS_UNIT, Ordering::Relaxed);
+        bump(&self.revalidations, MISS_UNIT);
     }
 
     /// The policy-change sweep, run inside the writer's critical section
@@ -378,14 +397,12 @@ impl ValidityCache {
     /// (hits, misses) counters — experiment E5 instrumentation. The pair
     /// comes from one atomic load, so it is internally consistent.
     pub fn stats(&self) -> (u64, u64) {
-        let packed = self.counters.load(Ordering::Relaxed);
-        (packed >> 32, packed & 0xFFFF_FFFF)
+        unpack(self.counters.load(Ordering::Relaxed))
     }
 
     /// (revalidation hits, revalidation misses), one atomic load.
     pub fn revalidation_stats(&self) -> (u64, u64) {
-        let packed = self.revalidations.load(Ordering::Relaxed);
-        (packed >> 32, packed & 0xFFFF_FFFF)
+        unpack(self.revalidations.load(Ordering::Relaxed))
     }
 
     /// Entries dropped by sweeps and clears, cumulative.
@@ -486,6 +503,30 @@ mod tests {
         // not wipe hit/miss history, and the drop itself is counted.
         assert_eq!(c.stats(), (1, 1));
         assert_eq!(c.invalidated_entries(), 1);
+    }
+
+    #[test]
+    fn packed_counter_halves_saturate_independently() {
+        let c = ValidityCache::new();
+        // Misses one short of full, 5 hits.
+        c.counters
+            .store(5 * HIT_UNIT + HALF_MAX - 1, Ordering::Relaxed);
+        c.count_miss();
+        c.count_miss();
+        assert_eq!(
+            c.stats(),
+            (5, HALF_MAX),
+            "misses saturate, no carry into hits"
+        );
+        // Full hits no longer wrap to zero.
+        c.counters.store(HALF_MAX * HIT_UNIT + 7, Ordering::Relaxed);
+        c.count_hit();
+        c.count_miss();
+        assert_eq!(c.stats(), (HALF_MAX, 8));
+        // The revalidation pair packs the same way.
+        c.revalidations.store(HALF_MAX, Ordering::Relaxed);
+        c.evict_stale("11", 1);
+        assert_eq!(c.revalidation_stats(), (0, HALF_MAX));
     }
 
     #[test]

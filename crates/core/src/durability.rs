@@ -389,9 +389,7 @@ impl Engine {
                 .create_table(t.name.clone(), t.schema.clone(), t.primary_key.clone())?;
         }
         for t in snap.tables {
-            for row in t.rows {
-                self.db.insert_unchecked(&t.name, row)?;
-            }
+            self.db.load_unchecked(&t.name, t.rows)?;
         }
         for fk in snap.foreign_keys {
             self.db.add_foreign_key(fk)?;

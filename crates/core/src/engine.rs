@@ -386,24 +386,26 @@ impl Engine {
         }
     }
 
-    /// Bulk load without per-row constraint checks. Atomic: a failure
-    /// mid-load restores the table to its pre-load rows.
+    /// Bulk load without per-row constraint checks; the table's indexes
+    /// skip the appends and are sorted once, by the first lookup.
+    /// Atomic: a failure mid-load restores the table to its pre-load
+    /// rows.
     pub fn admin_load(&mut self, table: &Ident, rows: Vec<Row>) -> Result<usize> {
         self.ensure_open()?;
         let undo = self.db.snapshot_table(table).ok();
-        let mut n = 0;
-        for row in rows {
-            if let Err(e) = self.db.insert_unchecked(table, row) {
+        match self.db.load_unchecked(table, rows) {
+            Ok(n) => {
+                self.commit_dml(undo)?;
+                Ok(n)
+            }
+            Err(e) => {
                 self.discard_deltas();
                 if let Some(snap) = undo {
                     let _ = self.db.restore_table(snap);
                 }
-                return Err(e);
+                Err(e)
             }
-            n += 1;
         }
-        self.commit_dml(undo)?;
-        Ok(n)
     }
 
     /// Grants an authorization view to a principal. Log-then-apply: on a

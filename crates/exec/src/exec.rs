@@ -9,8 +9,12 @@
 //! query this turns the dominant cost from O(|table|) row clones into
 //! O(|result|). The [`rows_cloned`] counter observes exactly the clones
 //! caused by materializing borrowed data, so tests and benches can
-//! assert the reduction.
+//! assert the reduction. A `Select` whose literal equalities pin an
+//! indexed key does not even read the other rows: it binary-searches
+//! the table's index (see `access`), so the cost is O(log |table| +
+//! |result|).
 
+use crate::access::index_path;
 use crate::eval::{eval, eval_predicate};
 use fgac_algebra::{AggExpr, AggFunc, BoundQuery, CmpOp, OrderKey, ParamScope, Plan, ScalarExpr};
 use fgac_storage::Database;
@@ -143,24 +147,24 @@ pub fn execute_plan(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
 pub fn execute_plan_cow<'a>(db: &'a Database, plan: &Plan) -> Result<Cow<'a, [Row]>> {
     match plan {
         Plan::Scan { table, .. } => Ok(Cow::Borrowed(db.table_required(table)?.rows())),
-        Plan::Select { input, conjuncts } => match execute_plan_cow(db, input)? {
-            // Borrowed input: filter by reference, clone only survivors.
-            Cow::Borrowed(rows) => {
-                let mut out = Vec::new();
-                'borrowed: for r in rows {
-                    for c in conjuncts {
-                        if !eval_predicate(c, r)? {
-                            continue 'borrowed;
-                        }
-                    }
-                    out.push(r.clone());
+        Plan::Select { input, conjuncts } => {
+            // Literal pins on an indexed key: read only the pinned rows
+            // (see `access`), in scan order.
+            if let Plan::Scan { table, .. } = &**input {
+                let table = db.table_required(table)?;
+                if let Some(path) = index_path(table, conjuncts) {
+                    let rows = table.rows();
+                    let pinned = path.positions.iter().map(|&p| &rows[p]);
+                    return clone_survivors(pinned, path.residual.iter().copied());
                 }
-                count_cloned(out.len());
-                Ok(Cow::Owned(out))
             }
-            // Owned input: move survivors, no clones at all.
-            Cow::Owned(rows) => Ok(Cow::Owned(filter_rows(rows, conjuncts)?)),
-        },
+            match execute_plan_cow(db, input)? {
+                // Borrowed input: filter by reference, clone only survivors.
+                Cow::Borrowed(rows) => clone_survivors(rows.iter(), conjuncts.iter()),
+                // Owned input: move survivors, no clones at all.
+                Cow::Owned(rows) => Ok(Cow::Owned(filter_rows(rows, conjuncts)?)),
+            }
+        }
         Plan::Project { input, exprs } => {
             let rows = execute_plan_cow(db, input)?;
             let projected = rows
@@ -217,6 +221,25 @@ pub fn execute_plan_cow<'a>(db: &'a Database, plan: &Plan) -> Result<Cow<'a, [Ro
             Ok(Cow::Owned(aggregate_rows(&rows, group_by, aggs)?))
         }
     }
+}
+
+/// Clones the borrowed rows on which every conjunct holds, evaluating
+/// each row's conjuncts in order.
+fn clone_survivors<'r, 'e>(
+    rows: impl Iterator<Item = &'r Row>,
+    conjuncts: impl Iterator<Item = &'e ScalarExpr> + Clone,
+) -> Result<Cow<'r, [Row]>> {
+    let mut out = Vec::new();
+    'rows: for r in rows {
+        for c in conjuncts.clone() {
+            if !eval_predicate(c, r)? {
+                continue 'rows;
+            }
+        }
+        out.push(r.clone());
+    }
+    count_cloned(out.len());
+    Ok(Cow::Owned(out))
 }
 
 fn filter_rows(rows: Vec<Row>, conjuncts: &[ScalarExpr]) -> Result<Vec<Row>> {

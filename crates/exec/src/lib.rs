@@ -15,8 +15,11 @@
 //! the leaf returns the table's own row slice and operators clone rows
 //! only when they must produce owned data, so a selective query pays
 //! O(|result|) clones rather than O(|table|). The [`rows_cloned`]
-//! counter makes that cost observable to tests and benches.
+//! counter makes that cost observable to tests and benches. Selects
+//! that pin an indexed key with literals read only the pinned rows
+//! through the table's index, keeping scan order.
 
+mod access;
 mod dml;
 mod eval;
 mod exec;

@@ -17,6 +17,12 @@ use std::collections::BTreeMap;
 /// [`Database::set_delta_recording`]), every successful row mutation also
 /// appends a [`TableDelta`] describing it, which the WAL layer drains per
 /// statement. Recording is off by default and costs nothing when off.
+///
+/// Each table keeps a [`crate::KeyIndex`] per key-column list the
+/// catalog names for it (see [`Database::index_columns`]); the row
+/// mutations here maintain them, and lookups by key —
+/// [`Table::contains_key`], the constraint checks, the executor's
+/// equality selects — binary-search them instead of scanning.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     catalog: Catalog,
@@ -72,16 +78,80 @@ impl Database {
         let name = name.into();
         self.catalog
             .add_table(name.clone(), schema.clone(), primary_key)?;
-        self.tables.insert(name.clone(), Table::new(name, schema));
+        self.tables
+            .insert(name.clone(), Table::new(name.clone(), schema));
+        self.sync_indexes(&name);
         Ok(())
     }
 
     pub fn add_foreign_key(&mut self, fk: ForeignKey) -> Result<()> {
-        self.catalog.add_foreign_key(fk)
+        let (child, parent) = (fk.child_table.clone(), fk.parent_table.clone());
+        self.catalog.add_foreign_key(fk)?;
+        self.sync_indexes(&child);
+        self.sync_indexes(&parent);
+        Ok(())
     }
 
     pub fn add_inclusion_dependency(&mut self, dep: InclusionDependency) -> Result<()> {
-        self.catalog.add_inclusion_dependency(dep)
+        let dst = dep.dst_table.clone();
+        self.catalog.add_inclusion_dependency(dep)?;
+        self.sync_indexes(&dst);
+        Ok(())
+    }
+
+    /// The column lists `table` keeps an index over: its primary key,
+    /// the child and the parent columns of every foreign key touching
+    /// it, and the target columns of every inclusion dependency into
+    /// it. A list that is a prefix of another is dropped — the longer
+    /// list's index serves it.
+    pub fn index_columns(&self, table: &Ident) -> Vec<Vec<usize>> {
+        let Some(meta) = self.catalog.table(table) else {
+            return Vec::new();
+        };
+        let mut lists: Vec<Vec<usize>> = Vec::new();
+        let mut want = |cols: &[Ident]| {
+            let positions: Option<Vec<usize>> =
+                cols.iter().map(|c| meta.schema.index_of(c)).collect();
+            lists.extend(positions.filter(|p| !p.is_empty()));
+        };
+        if let Some(pk) = &meta.primary_key {
+            want(pk);
+        }
+        for fk in self.catalog.foreign_keys() {
+            if &fk.child_table == table {
+                want(&fk.child_columns);
+            }
+            if &fk.parent_table == table {
+                want(&fk.parent_columns);
+            }
+        }
+        for dep in self.catalog.inclusion_dependencies() {
+            if &dep.dst_table == table {
+                want(&dep.dst_columns);
+            }
+        }
+        // Longest first (stable, so catalog order breaks ties).
+        lists.sort_by_key(|l| std::cmp::Reverse(l.len()));
+        let mut kept: Vec<Vec<usize>> = Vec::new();
+        for list in lists {
+            if !kept.iter().any(|k| k.starts_with(&list)) {
+                kept.push(list);
+            }
+        }
+        kept
+    }
+
+    fn sync_indexes(&mut self, table: &Ident) {
+        let lists = self.index_columns(table);
+        if let Some(t) = self.tables.get_mut(table) {
+            t.set_index_columns(lists);
+        }
+    }
+
+    fn table_mut(&mut self, table: &Ident) -> Result<&mut Table> {
+        self.tables
+            .get_mut(table)
+            .ok_or_else(|| Error::Bind(format!("unknown table {table}")))
     }
 
     pub fn add_view(&mut self, view: ViewDef) -> Result<()> {
@@ -110,10 +180,7 @@ impl Database {
         self.check_pk_free(table, &row)?;
         self.check_fk_parents(table, &row)?;
         let recorded = self.recording.then(|| row.clone());
-        self.tables
-            .get_mut(table)
-            .ok_or_else(|| Error::Bind(format!("unknown table {table}")))?
-            .insert(row)?;
+        self.table_mut(table)?.insert(row)?;
         if let Some(row) = recorded {
             self.deltas.push(TableDelta::Insert {
                 table: table.clone(),
@@ -126,10 +193,7 @@ impl Database {
     /// Inserts without constraint checks — bulk loading only.
     pub fn insert_unchecked(&mut self, table: &Ident, row: Row) -> Result<()> {
         let recorded = self.recording.then(|| row.clone());
-        self.tables
-            .get_mut(table)
-            .ok_or_else(|| Error::Bind(format!("unknown table {table}")))?
-            .insert(row)?;
+        self.table_mut(table)?.insert(row)?;
         if let Some(row) = recorded {
             self.deltas.push(TableDelta::Insert {
                 table: table.clone(),
@@ -137,6 +201,21 @@ impl Database {
             });
         }
         Ok(())
+    }
+
+    /// Bulk load without constraint checks: appends every row (recording
+    /// one insert delta each) without index maintenance; each of the
+    /// table's indexes is sorted once, by the first lookup that needs
+    /// it. Stops at the first row that fails its type check; the rows
+    /// before it stay loaded.
+    pub fn load_unchecked(&mut self, table: &Ident, rows: Vec<Row>) -> Result<usize> {
+        self.table_mut(table)?.discard_indexes();
+        let mut n = 0;
+        for row in rows {
+            self.insert_unchecked(table, row)?;
+            n += 1;
+        }
+        Ok(n)
     }
 
     /// Convenience: insert many rows (checked).
@@ -204,19 +283,6 @@ impl Database {
         Ok(())
     }
 
-    /// Deletes rows matching `pred`; returns how many. Does not cascade —
-    /// dangling references surface via [`Database::unsatisfied_inclusions_on`].
-    pub fn delete_where(
-        &mut self,
-        table: &Ident,
-        pred: impl FnMut(&Row) -> bool,
-    ) -> Result<usize> {
-        self.tables
-            .get_mut(table)
-            .ok_or_else(|| Error::Bind(format!("unknown table {table}")))
-            .map(|t| t.delete_where(pred))
-    }
-
     /// Replaces row `i` of `table` for each `(i, row)` pair; all
     /// replacements type-check before any is applied.
     pub fn apply_row_updates(
@@ -225,11 +291,7 @@ impl Database {
         updates: Vec<(usize, Row)>,
     ) -> Result<usize> {
         let recorded = self.recording.then(|| updates.clone());
-        let n = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| Error::Bind(format!("unknown table {table}")))?
-            .apply_row_updates(updates)?;
+        let n = self.table_mut(table)?.apply_row_updates(updates)?;
         if let Some(updates) = recorded {
             self.deltas.push(TableDelta::Update {
                 table: table.clone(),
@@ -242,11 +304,7 @@ impl Database {
     /// Removes the rows of `table` at the given positions; returns how
     /// many were removed.
     pub fn delete_at(&mut self, table: &Ident, indexes: &[usize]) -> Result<usize> {
-        let n = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| Error::Bind(format!("unknown table {table}")))
-            .map(|t| t.delete_at(indexes))?;
+        let n = self.table_mut(table)?.delete_at(indexes);
         if self.recording {
             self.deltas.push(TableDelta::Delete {
                 table: table.clone(),
@@ -267,14 +325,11 @@ impl Database {
     }
 
     /// Restores a table to a previously captured snapshot, discarding
-    /// every mutation since. The schema cannot have changed in between:
+    /// every mutation since. Its indexes re-sort on their next use. The schema cannot have changed in between:
     /// snapshots live within a single statement and DDL runs on the
     /// admin path only.
     pub fn restore_table(&mut self, snap: TableSnapshot) -> Result<()> {
-        self.tables
-            .get_mut(&snap.table)
-            .ok_or_else(|| Error::Bind(format!("unknown table {}", snap.table)))?
-            .restore_rows(snap.rows);
+        self.table_mut(&snap.table)?.restore_rows(snap.rows);
         Ok(())
     }
 
@@ -331,19 +386,6 @@ impl Database {
             return Err(Error::Bind(format!("unknown view {name}")));
         }
         Ok(())
-    }
-
-    /// Updates rows matching `pred` via `f`; returns how many.
-    pub fn update_where(
-        &mut self,
-        table: &Ident,
-        pred: impl FnMut(&Row) -> bool,
-        f: impl FnMut(&Row) -> Row,
-    ) -> Result<usize> {
-        self.tables
-            .get_mut(table)
-            .ok_or_else(|| Error::Bind(format!("unknown table {table}")))?
-            .update_where(pred, f)
     }
 
     /// Audits one *unconditional* inclusion dependency against current
@@ -475,10 +517,10 @@ mod tests {
         let s = Ident::new("students");
         d.insert(&s, Row(vec!["11".into(), "ann".into()])).unwrap();
         let n = d
-            .update_where(&s, |_| true, |r| Row(vec![r.get(0).clone(), "anne".into()]))
+            .apply_row_updates(&s, vec![(0, Row(vec!["11".into(), "anne".into()]))])
             .unwrap();
         assert_eq!(n, 1);
-        let n = d.delete_where(&s, |_| true).unwrap();
+        let n = d.delete_at(&s, &[0]).unwrap();
         assert_eq!(n, 1);
         assert_eq!(d.total_rows(), 0);
     }
@@ -488,6 +530,63 @@ mod tests {
         let mut d = db();
         let bad = Ident::new("nope");
         assert!(d.insert(&bad, Row(vec![])).is_err());
-        assert!(d.delete_where(&bad, |_| true).is_err());
+        assert!(d.delete_at(&bad, &[0]).is_err());
+        assert!(d.apply_row_updates(&bad, vec![]).is_err());
+        assert!(d.load_unchecked(&bad, vec![]).is_err());
+    }
+
+    #[test]
+    fn keys_and_constraint_columns_get_indexes() {
+        let mut d = db();
+        let s = Ident::new("students");
+        let r = Ident::new("registered");
+        // students: pk (student_id) = fk parent (student_id), one index.
+        assert_eq!(d.index_columns(&s), vec![vec![0]]);
+        // registered: fk child (student_id).
+        assert_eq!(d.index_columns(&r), vec![vec![0]]);
+        d.add_inclusion_dependency(InclusionDependency {
+            name: Ident::new("reg_pairs"),
+            src_table: s.clone(),
+            src_columns: vec![Ident::new("student_id"), Ident::new("name")],
+            src_filter: None,
+            dst_table: r.clone(),
+            dst_columns: vec![Ident::new("student_id"), Ident::new("course_id")],
+            dst_filter: None,
+        })
+        .unwrap();
+        // (student_id) is a prefix of the new (student_id, course_id).
+        assert_eq!(d.index_columns(&r), vec![vec![0, 1]]);
+        assert_eq!(d.table(&r).unwrap().indexes().len(), 1);
+    }
+
+    #[test]
+    fn bulk_load_sorts_once_and_checks_still_see_the_rows() {
+        let mut d = db();
+        let s = Ident::new("students");
+        let rows: Vec<Row> = (0..50)
+            .rev()
+            .map(|i| Row(vec![format!("{i:02}").into(), "x".into()]))
+            .collect();
+        assert_eq!(d.load_unchecked(&s, rows).unwrap(), 50);
+        let t = d.table(&s).unwrap();
+        let ix = &t.indexes()[0];
+        assert_eq!(ix.positions(), None, "sorted on first use, not per row");
+        t.build_indexes();
+        assert_eq!(ix, &crate::KeyIndex::build(ix.columns().to_vec(), t.rows()));
+        let dup = d.insert(&s, Row(vec!["07".into(), "y".into()]));
+        assert!(matches!(dup, Err(Error::Constraint(_))));
+        d.insert(
+            &Ident::new("registered"),
+            Row(vec!["07".into(), "cs101".into()]),
+        )
+        .unwrap();
+
+        // A type error mid-load keeps the rows before it, indexed.
+        let bad = vec![
+            Row(vec!["90".into(), "x".into()]),
+            Row(vec![Value::Int(1), "x".into()]),
+        ];
+        assert!(d.load_unchecked(&s, bad).is_err());
+        assert!(d.table(&s).unwrap().contains_key(&[0], &["90".into()]));
     }
 }

@@ -23,10 +23,12 @@ mod catalog;
 mod constraint;
 mod database;
 mod delta;
+mod index;
 mod table;
 
 pub use catalog::{Catalog, TableMeta, ViewDef};
 pub use constraint::{ForeignKey, InclusionDependency};
 pub use database::{Database, TableSnapshot};
 pub use delta::TableDelta;
+pub use index::KeyIndex;
 pub use table::Table;

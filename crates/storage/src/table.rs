@@ -1,16 +1,25 @@
 //! Multiset tables.
 
-use fgac_types::{Error, Ident, Result, Row, Schema, Value};
+use crate::index::KeyIndex;
+use fgac_types::{DataType, Error, Ident, Result, Row, Schema, Value};
 
 /// An in-memory table holding a multiset of rows.
 ///
 /// Rows are kept in insertion order; duplicates are allowed (SQL bag
 /// semantics). Type checking against the schema happens on every insert.
+///
+/// The table also keeps one [`KeyIndex`] per column list the
+/// [`crate::Database`] asks for (keys and constraint columns). Every row
+/// mutation below maintains the built ones in place. An index is built
+/// — sorted once — by the first lookup that needs it; bulk loads and
+/// restores discard the permutations instead of maintaining them row by
+/// row.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: Ident,
     schema: Schema,
     rows: Vec<Row>,
+    indexes: Vec<KeyIndex>,
 }
 
 impl Table {
@@ -19,6 +28,7 @@ impl Table {
             name: name.into(),
             schema,
             rows: Vec::new(),
+            indexes: Vec::new(),
         }
     }
 
@@ -40,6 +50,21 @@ impl Table {
 
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
+    }
+
+    /// The table's indexes, built or not.
+    pub fn indexes(&self) -> &[KeyIndex] {
+        &self.indexes
+    }
+
+    /// Sorts every index not built yet. Lookups do this on demand; this
+    /// takes the cost up front.
+    pub fn build_indexes(&self) {
+        if self.positions_fit() {
+            for ix in &self.indexes {
+                ix.sorted(&self.rows);
+            }
+        }
     }
 
     /// Type-checks a row against the schema without inserting it.
@@ -64,7 +89,7 @@ impl Table {
                 }
                 Some(ty) if ty == col.ty => {}
                 // Allow lossless integer widening into double columns.
-                Some(fgac_types::DataType::Int) if col.ty == fgac_types::DataType::Double => {}
+                Some(DataType::Int) if col.ty == DataType::Double => {}
                 Some(ty) => {
                     return Err(Error::Type(format!(
                         "column {}.{} expects {}, got {} ({value})",
@@ -81,6 +106,14 @@ impl Table {
     pub fn insert(&mut self, row: Row) -> Result<()> {
         self.check_row(&row)?;
         self.rows.push(self.coerce(row));
+        if self.positions_fit() {
+            let pos = (self.rows.len() - 1) as u32;
+            for ix in &mut self.indexes {
+                ix.push(&self.rows, pos);
+            }
+        } else {
+            self.discard_indexes();
+        }
         Ok(())
     }
 
@@ -90,41 +123,10 @@ impl Table {
             .into_iter()
             .zip(self.schema.columns())
             .map(|(v, c)| match (&v, c.ty) {
-                (Value::Int(i), fgac_types::DataType::Double) => Value::Double(*i as f64),
+                (Value::Int(i), DataType::Double) => Value::Double(*i as f64),
                 _ => v,
             })
             .collect())
-    }
-
-    /// Removes rows matching the predicate; returns how many were
-    /// removed.
-    pub fn delete_where(&mut self, mut pred: impl FnMut(&Row) -> bool) -> usize {
-        let before = self.rows.len();
-        self.rows.retain(|r| !pred(r));
-        before - self.rows.len()
-    }
-
-    /// Applies an in-place transformation to rows matching the predicate;
-    /// returns how many were updated. The new row is type-checked.
-    pub fn update_where(
-        &mut self,
-        mut pred: impl FnMut(&Row) -> bool,
-        mut f: impl FnMut(&Row) -> Row,
-    ) -> Result<usize> {
-        // Two-phase so a type error midway leaves the table unchanged.
-        let mut updates = Vec::new();
-        for (i, row) in self.rows.iter().enumerate() {
-            if pred(row) {
-                let new = f(row);
-                self.check_row(&new)?;
-                updates.push((i, self.coerce(new)));
-            }
-        }
-        let n = updates.len();
-        for (i, new) in updates {
-            self.rows[i] = new;
-        }
-        Ok(n)
     }
 
     /// Replaces row `i` for each `(i, row)` pair, after type-checking
@@ -144,8 +146,21 @@ impl Table {
             checked.push((i, self.coerce(new)));
         }
         let n = checked.len();
+        // Per built index, the positions whose key columns change; they
+        // fit in u32 because the index holds every row.
+        let mut moved: Vec<Vec<u32>> = vec![Vec::new(); self.indexes.len()];
         for (i, new) in checked {
+            for (ix, moved) in self.indexes.iter().zip(&mut moved) {
+                if ix.positions().is_some() && ix.key_differs(&self.rows[i], &new) {
+                    moved.push(i as u32);
+                }
+            }
             self.rows[i] = new;
+        }
+        for (ix, mut moved) in self.indexes.iter_mut().zip(moved) {
+            moved.sort_unstable();
+            moved.dedup();
+            ix.reposition(&self.rows, &moved);
         }
         Ok(n)
     }
@@ -157,19 +172,38 @@ impl Table {
         if indexes.is_empty() {
             return 0;
         }
-        let victim: std::collections::BTreeSet<usize> = indexes
-            .iter()
-            .copied()
-            .filter(|&i| i < self.rows.len())
-            .collect();
+        let mut victim = vec![false; self.rows.len()];
+        for &i in indexes {
+            if let Some(v) = victim.get_mut(i) {
+                *v = true;
+            }
+        }
         let before = self.rows.len();
         let mut i = 0;
         self.rows.retain(|_| {
-            let keep = !victim.contains(&i);
+            let keep = !victim[i];
             i += 1;
             keep
         });
-        before - self.rows.len()
+        let removed = before - self.rows.len();
+        if removed > 0 && self.indexes.iter().any(|ix| ix.positions().is_some()) {
+            // Old position -> new position; the rows kept fit in u32
+            // because a built index holds them all.
+            let mut next = 0u32;
+            let remap: Vec<Option<u32>> = victim
+                .iter()
+                .map(|&gone| {
+                    (!gone).then(|| {
+                        next += 1;
+                        next - 1
+                    })
+                })
+                .collect();
+            for ix in &mut self.indexes {
+                ix.remap(&remap);
+            }
+        }
+        removed
     }
 
     /// A copy of the stored rows, for undo (see `Database::snapshot_table`).
@@ -178,16 +212,90 @@ impl Table {
     }
 
     /// Replaces the stored rows wholesale with a previously taken
-    /// snapshot. Bypasses type checks: the snapshot was valid when taken.
+    /// snapshot; the indexes re-sort on their next use. Bypasses type
+    /// checks: the snapshot was valid when taken.
     pub(crate) fn restore_rows(&mut self, rows: Vec<Row>) {
         self.rows = rows;
+        self.discard_indexes();
+    }
+
+    /// Makes the table keep one index per column list in `lists`,
+    /// reusing an existing index over the same columns. New indexes
+    /// are built on first use.
+    pub(crate) fn set_index_columns(&mut self, lists: Vec<Vec<usize>>) {
+        let mut old = std::mem::take(&mut self.indexes);
+        for cols in lists {
+            match old.iter().position(|ix| ix.columns() == cols.as_slice()) {
+                Some(at) => self.indexes.push(old.swap_remove(at)),
+                None => self.indexes.push(KeyIndex::new(cols)),
+            }
+        }
+    }
+
+    /// Drops every index permutation: mutations until the next lookup
+    /// skip index work, and that lookup sorts once. Bulk loads call this
+    /// before appending.
+    pub(crate) fn discard_indexes(&mut self) {
+        for ix in &mut self.indexes {
+            ix.discard();
+        }
+    }
+
+    /// Index entries are `u32` positions; a larger table is not indexed.
+    fn positions_fit(&self) -> bool {
+        u32::try_from(self.rows.len()).is_ok()
+    }
+
+    /// Ascending positions of the rows whose column `c` equals `v`
+    /// (under [`Value`]'s total order) for every `(c, v)` in `pins`,
+    /// read through the index whose key starts with the most pinned
+    /// columns (sorting it first if it is unbuilt). `None` when no index
+    /// key starts with a pinned column: the caller scans instead.
+    pub fn lookup(&self, pins: &[(usize, &Value)]) -> Option<Vec<usize>> {
+        if !self.positions_fit() {
+            return None;
+        }
+        let pinned = |c: usize| pins.iter().find(|(pc, _)| *pc == c).map(|(_, v)| *v);
+        let (ix, depth) = self
+            .indexes
+            .iter()
+            .map(|ix| {
+                let depth = ix
+                    .columns()
+                    .iter()
+                    .take_while(|&&c| pinned(c).is_some())
+                    .count();
+                (ix, depth)
+            })
+            .filter(|&(_, depth)| depth > 0)
+            .max_by_key(|&(_, depth)| depth)?;
+        let key: Vec<&Value> = ix.columns()[..depth]
+            .iter()
+            .filter_map(|&c| pinned(c))
+            .collect();
+        let mut out: Vec<usize> = ix
+            .range(&self.rows, &key)
+            .iter()
+            .map(|&p| p as usize)
+            .filter(|&p| pins.iter().all(|(c, v)| self.rows[p].get(*c) == *v))
+            .collect();
+        if depth < ix.columns().len() {
+            // A partial key orders matches by the unpinned key columns.
+            out.sort_unstable();
+        }
+        Some(out)
     }
 
     /// True if some row has the given values at the given column indexes.
     pub fn contains_key(&self, indexes: &[usize], key: &[Value]) -> bool {
-        self.rows
-            .iter()
-            .any(|r| indexes.iter().zip(key).all(|(&i, v)| r.get(i) == v))
+        let pins: Vec<(usize, &Value)> = indexes.iter().copied().zip(key).collect();
+        match self.lookup(&pins) {
+            Some(hits) => !hits.is_empty(),
+            None => self
+                .rows
+                .iter()
+                .any(|r| pins.iter().all(|&(i, v)| r.get(i) == v)),
+        }
     }
 }
 
@@ -246,18 +354,16 @@ mod tests {
         for (s, g) in [("11", 90), ("12", 80), ("13", 70)] {
             t.insert(Row(vec![s.into(), Value::Int(g)])).unwrap();
         }
-        let n = t.delete_where(|r| r.get(1) == &Value::Int(80));
+        let n = t.delete_at(&[1, 1, 7]);
         assert_eq!(n, 1);
         assert_eq!(t.len(), 2);
 
         let n = t
-            .update_where(
-                |r| r.get(0) == &Value::Str("11".into()),
-                |r| Row(vec![r.get(0).clone(), Value::Int(95)]),
-            )
+            .apply_row_updates(vec![(0, Row(vec!["11".into(), Value::Int(95)]))])
             .unwrap();
         assert_eq!(n, 1);
         assert_eq!(t.rows()[0].get(1), &Value::Int(95));
+        assert_eq!(t.rows()[1].get(0), &Value::Str("13".into()));
     }
 
     #[test]
@@ -265,19 +371,89 @@ mod tests {
         let mut t = table();
         t.insert(Row(vec!["11".into(), Value::Int(90)])).unwrap();
         t.insert(Row(vec!["12".into(), Value::Int(80)])).unwrap();
-        let err = t.update_where(
-            |_| true,
-            |r| {
-                if r.get(0) == &Value::Str("12".into()) {
-                    Row(vec![Value::Int(0), Value::Int(0)]) // bad type
-                } else {
-                    Row(vec![r.get(0).clone(), Value::Int(1)])
-                }
-            },
-        );
+        let err = t.apply_row_updates(vec![
+            (0, Row(vec!["11".into(), Value::Int(1)])),
+            (1, Row(vec![Value::Int(0), Value::Int(0)])), // bad type
+        ]);
         assert!(err.is_err());
         // First row must not have been updated.
         assert_eq!(t.rows()[0].get(1), &Value::Int(90));
+    }
+
+    fn indexed() -> Table {
+        let mut t = table();
+        for (s, g) in [("12", 80), ("11", 90), ("12", 70), ("13", 70)] {
+            t.insert(Row(vec![s.into(), Value::Int(g)])).unwrap();
+        }
+        t.set_index_columns(vec![vec![0, 1], vec![1]]);
+        t.build_indexes();
+        t
+    }
+
+    fn assert_fresh(t: &Table) {
+        for ix in t.indexes() {
+            assert!(ix.positions().is_some(), "maintained, not discarded");
+            assert_eq!(ix, &KeyIndex::build(ix.columns().to_vec(), t.rows()));
+        }
+    }
+
+    #[test]
+    fn mutations_keep_indexes_fresh() {
+        let mut t = indexed();
+        assert_eq!(t.indexes().len(), 2);
+        t.insert(Row(vec!["11".into(), Value::Int(70)])).unwrap();
+        assert_fresh(&t);
+        t.apply_row_updates(vec![
+            (0, Row(vec!["10".into(), Value::Int(80)])),
+            (3, Row(vec!["13".into(), Value::Null])),
+        ])
+        .unwrap();
+        assert_fresh(&t);
+        t.delete_at(&[2, 0]);
+        assert_fresh(&t);
+        let snap = t.snapshot_rows();
+        t.delete_at(&[0, 1, 2]);
+        t.restore_rows(snap);
+        assert_eq!(t.len(), 3);
+        t.build_indexes();
+        assert_fresh(&t);
+    }
+
+    #[test]
+    fn discarded_indexes_sort_once_on_next_lookup() {
+        let mut t = indexed();
+        t.build_indexes();
+        t.discard_indexes();
+        t.insert(Row(vec!["10".into(), Value::Int(1)])).unwrap();
+        t.delete_at(&[0]);
+        assert!(t.indexes().iter().all(|ix| ix.positions().is_none()));
+        assert_eq!(t.lookup(&[(0, &"10".into())]), Some(vec![3]));
+        assert!(t.indexes()[0].positions().is_some(), "the lookup built it");
+        assert!(t.indexes()[1].positions().is_none(), "the other waits");
+        t.build_indexes();
+        assert_fresh(&t);
+    }
+
+    #[test]
+    fn lookup_returns_scan_order() {
+        let t = indexed();
+        // Full key: one match.
+        assert_eq!(
+            t.lookup(&[(1, &Value::Int(70)), (0, &"12".into())]),
+            Some(vec![2])
+        );
+        // Prefix of the (student, grade) index: positions ascending.
+        assert_eq!(t.lookup(&[(0, &"12".into())]), Some(vec![0, 2]));
+        // The (grade) index serves the second column alone.
+        assert_eq!(t.lookup(&[(1, &Value::Int(70))]), Some(vec![2, 3]));
+        // Contradictory pins on one column match nothing.
+        assert_eq!(
+            t.lookup(&[(0, &"12".into()), (0, &"11".into())]),
+            Some(vec![])
+        );
+        // No index starts with a pinned column: scan.
+        let plain = table();
+        assert_eq!(plain.lookup(&[(0, &"12".into())]), None);
     }
 
     #[test]
