@@ -62,15 +62,15 @@ const SHARDS: usize = 16;
 
 /// One lookup outcome unit in the packed counter word: hits live in the
 /// high 32 bits, misses in the low 32.
-const HIT_UNIT: u64 = 1 << 32;
-const MISS_UNIT: u64 = 1;
+pub(crate) const HIT_UNIT: u64 = 1 << 32;
+pub(crate) const MISS_UNIT: u64 = 1;
 /// The largest count one half of a packed word holds.
 const HALF_MAX: u64 = u32::MAX as u64;
 
 /// Adds one `unit` to a packed counter pair, saturating that half at
 /// [`HALF_MAX`]: a full half stays full instead of wrapping (hits) or
 /// carrying into its neighbour (misses).
-fn bump(pair: &AtomicU64, unit: u64) {
+pub(crate) fn bump(pair: &AtomicU64, unit: u64) {
     let _saturated = pair.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |packed| {
         // Lazy: at saturation `packed + unit` may overflow.
         ((packed / unit) & HALF_MAX < HALF_MAX).then(|| packed + unit)
@@ -78,7 +78,7 @@ fn bump(pair: &AtomicU64, unit: u64) {
 }
 
 /// Splits a packed counter pair into (high, low) halves.
-fn unpack(packed: u64) -> (u64, u64) {
+pub(crate) fn unpack(packed: u64) -> (u64, u64) {
     (packed >> 32, packed & HALF_MAX)
 }
 

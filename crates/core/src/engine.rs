@@ -24,10 +24,11 @@ use crate::truman::TrumanPolicy;
 use crate::updates::UpdateAuthorizer;
 use fgac_analyze::Diagnostic;
 use fgac_exec::QueryResult;
-use fgac_sql::{GrantKind, Statement};
+use fgac_sql::{self as sql, GrantKind, Statement};
 use fgac_storage::{Database, ForeignKey, InclusionDependency, ViewDef};
 use fgac_types::{Error, Ident, Result, Row, Schema, Value};
 use fgac_wal::WalRecord;
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -54,6 +55,33 @@ impl EngineResponse {
             _ => None,
         }
     }
+}
+
+/// What [`Engine::admit`] made of one statement: the single
+/// statement-kind classification every front door shares. `'s` is the
+/// lifetime of a prepared statement's stored AST (a DML statement is
+/// borrowed from it rather than copied).
+pub(crate) enum Admitted<'s> {
+    /// A query, bound and normalized: the plan-cache entry.
+    Query(Arc<CachedPlan>),
+    /// `EXPLAIN AUTHORIZATION <query>`.
+    Explain(sql::Query),
+    /// `ANALYZE POLICY` (`flow: false`) or `ANALYZE FLOW`, optionally
+    /// `FOR principal`.
+    Analyze {
+        flow: bool,
+        principal: Option<String>,
+    },
+    /// DML for the writer, with the table it targets.
+    Write {
+        table: Ident,
+        stmt: Cow<'s, Statement>,
+    },
+}
+
+/// The user path's parser: any statement.
+pub(crate) fn parse_statement(sql: &str) -> Result<Cow<'static, Statement>> {
+    fgac_sql::parse_statement(sql).map(Cow::Owned)
 }
 
 /// The fine-grained access control engine.
@@ -156,7 +184,7 @@ impl Engine {
     /// * validity cache — entries of unaffected principals are
     ///   restamped to the new epoch; affected certificate-carrying
     ///   accepts stay behind as *stale* (warm-revalidated on next
-    ///   lookup, see [`Engine::check_admitted_at`]); affected denials
+    ///   lookup, see `Engine::validity`); affected denials
     ///   and certificate-less entries are dropped;
     /// * plan cache — only DDL introducing a catalog name can change
     ///   binding, so only entries depending on that name are dropped
@@ -375,15 +403,7 @@ impl Engine {
     /// Direct (unchecked) row insertion for loaders/benches.
     pub fn admin_insert(&mut self, table: &Ident, row: Row) -> Result<()> {
         self.ensure_open()?;
-        let undo = self.db.snapshot_table(table).ok();
-        let recorded = self.db.insert(table, row);
-        match recorded {
-            Ok(()) => self.commit_dml(undo),
-            Err(e) => {
-                self.discard_deltas();
-                Err(e)
-            }
-        }
+        self.admin_dml(table, |db| db.insert(table, row))
     }
 
     /// Bulk load without per-row constraint checks; the table's indexes
@@ -518,15 +538,19 @@ impl Engine {
     }
 
     // ---------------- user path ----------------
+    //
+    // Every front door — `execute`/`execute_at`, `execute_prepared`,
+    // `check`, and `SharedEngine::execute_at` — is one `admit` followed
+    // by the read runner (`run_read`, `&self`) or the writer
+    // (`run_write`, `&mut self`).
 
     /// Executes a statement under the **Non-Truman model**: queries are
     /// validity-checked and run unmodified or rejected; DML is authorized
     /// per tuple (Section 4.4).
     ///
     /// Repeated query texts take the zero-parse fast path: the admitted
-    /// plan comes from the plan cache keyed on `(policy epoch, SQL,
-    /// session parameters)`, so steady-state admission is two cache
-    /// lookups.
+    /// plan comes from the plan cache keyed on `(SQL, session
+    /// parameters)`, so steady-state admission is two cache lookups.
     pub fn execute(&mut self, session: &Session, sql: &str) -> Result<EngineResponse> {
         self.execute_at(session, sql, None)
     }
@@ -546,118 +570,57 @@ impl Engine {
         sql: &str,
         deadline: Option<Instant>,
     ) -> Result<EngineResponse> {
-        self.ensure_open()?;
-        check_deadline(deadline)?;
-        if let Some(cached) = self.plan_cache.get(sql, session.params()) {
-            return self.execute_cached_query_at(session, &cached, deadline);
-        }
-        let stmt = fgac_sql::parse_statement(sql)?;
-        if let Statement::Query(q) = &stmt {
-            let cached = self.admit_query(session, sql, q)?;
-            return self.execute_cached_query_at(session, &cached, deadline);
-        }
-        self.execute_statement(session, &stmt)
+        let admitted = self.admit(session, sql, parse_statement, deadline)?;
+        self.run(session, admitted, deadline)
     }
 
-    /// The shared-read-lock execution path: runs `sql` if (and only if)
-    /// it needs no `&mut` access — queries, `EXPLAIN AUTHORIZATION`, and
-    /// session-scoped `ANALYZE POLICY`. Returns `None` for write
-    /// statements (DML/DDL), which the caller must route through an
-    /// exclusive path ([`crate::SharedEngine`] does exactly this).
-    ///
-    /// `deadline` is the request's wall-clock allowance, threaded into
-    /// the validity check's budget meter (see [`Engine::execute_at`]).
-    pub fn try_execute_read(
+    /// Admission, the first half of every front door: the closed-engine
+    /// and deadline gates (before any cache is touched), the plan-cache
+    /// lookup, and on a miss `parse` (the caller's parser, or a
+    /// prepared statement's stored AST) plus bind / normalize /
+    /// fingerprint. The statement is classified here, once: a query
+    /// plan, a read-only statement, or DML for the writer. DDL and
+    /// grant statements are rejected — they are admin surface.
+    pub(crate) fn admit<'s>(
         &self,
         session: &Session,
         sql: &str,
+        parse: impl FnOnce(&str) -> Result<Cow<'s, Statement>>,
         deadline: Option<Instant>,
-    ) -> Option<Result<EngineResponse>> {
-        if let Err(e) = self.ensure_open() {
-            return Some(Err(e));
+    ) -> Result<Admitted<'s>> {
+        self.ensure_open()?;
+        check_deadline(deadline)?;
+        if let Some(plan) = self.plan_cache.get(sql, session.params()) {
+            return Ok(Admitted::Query(plan));
         }
-        if let Err(e) = check_deadline(deadline) {
-            return Some(Err(e));
-        }
-        if let Some(cached) = self.plan_cache.get(sql, session.params()) {
-            return Some(self.execute_cached_query_at(session, &cached, deadline));
-        }
-        let stmt = match fgac_sql::parse_statement(sql) {
-            Ok(stmt) => stmt,
-            Err(e) => return Some(Err(e)),
-        };
-        match stmt {
-            Statement::Query(q) => Some(
-                self.admit_query(session, sql, &q)
-                    .and_then(|cached| self.execute_cached_query_at(session, &cached, deadline)),
-            ),
-            Statement::AnalyzePolicy(a) => Some(self.analyze_policy_session(session, &a)),
-            Statement::AnalyzeFlow(a) => Some(self.analyze_flow_session(session, &a)),
-            Statement::ExplainAuthorization(ex) => Some(
-                self.certify_query(session, &ex.query)
-                    .map(|report| EngineResponse::Rows(explain_authorization_result(&report))),
-            ),
-            _ => None,
-        }
-    }
-
-    /// The session-scoped `ANALYZE POLICY` arm, shared by the `&mut`
-    /// statement path and the read path.
-    fn analyze_policy_session(
-        &self,
-        session: &Session,
-        a: &fgac_sql::AnalyzePolicy,
-    ) -> Result<EngineResponse> {
-        // The analyzer's output *is* policy metadata: grant sets, role
-        // memberships, revocation tombstones, and messages that name
-        // other views. On the session path that is the exact disclosure
-        // channel P005 guards against, so a session may analyze only its
-        // own effective grants; the whole-set report is admin surface
-        // ([`Engine::analyze_policy`], `fgac-analyze`).
-        if let Some(p) = a.principal.as_deref() {
-            if p != session.user() {
-                return Err(Error::Unauthorized(
-                    "ANALYZE POLICY FOR another principal is admin-only; \
-                     a session may analyze only its own grants"
-                        .into(),
-                ));
+        let stmt = parse(sql)?;
+        match &*stmt {
+            Statement::Query(q) => Ok(Admitted::Query(self.admit_query(session, sql, q)?)),
+            Statement::ExplainAuthorization(ex) => Ok(Admitted::Explain(ex.query.clone())),
+            Statement::AnalyzePolicy(a) => Ok(Admitted::Analyze {
+                flow: false,
+                principal: a.principal.clone(),
+            }),
+            Statement::AnalyzeFlow(a) => Ok(Admitted::Analyze {
+                flow: true,
+                principal: a.principal.clone(),
+            }),
+            Statement::Insert(sql::Insert { table, .. })
+            | Statement::Update(sql::Update { table, .. })
+            | Statement::Delete(sql::Delete { table, .. }) => {
+                let table = table.clone();
+                Ok(Admitted::Write { table, stmt })
             }
+            _ => Err(Error::Unauthorized(
+                "DDL requires the admin interface".into(),
+            )),
         }
-        let diags = self.analyze_policy(Some(session.user()));
-        Ok(EngineResponse::Rows(diagnostics_result(&diags)))
-    }
-
-    /// The session-scoped `ANALYZE FLOW` arm, shared by the `&mut`
-    /// statement path and the read path. Same disclosure discipline as
-    /// `ANALYZE POLICY`: a flow report names other principals' views
-    /// and lattice cells, so a session may analyze only its own.
-    fn analyze_flow_session(
-        &self,
-        session: &Session,
-        a: &fgac_sql::AnalyzeFlow,
-    ) -> Result<EngineResponse> {
-        if let Some(p) = a.principal.as_deref() {
-            if p != session.user() {
-                return Err(Error::Unauthorized(
-                    "ANALYZE FLOW FOR another principal is admin-only; \
-                     a session may analyze only its own disclosure lattice"
-                        .into(),
-                ));
-            }
-        }
-        let diags = self.analyze_flow(Some(session.user()));
-        Ok(EngineResponse::Rows(diagnostics_result(&diags)))
     }
 
     /// Binds, normalizes, and fingerprints a parsed query, publishing
-    /// the result in the plan cache under the current policy epoch.
-    /// Bind failures are returned (and not cached).
-    pub(crate) fn admit_query(
-        &self,
-        session: &Session,
-        sql: &str,
-        q: &fgac_sql::Query,
-    ) -> Result<Arc<CachedPlan>> {
+    /// the result in the plan cache. Bind failures are returned (and
+    /// not cached).
+    fn admit_query(&self, session: &Session, sql: &str, q: &sql::Query) -> Result<Arc<CachedPlan>> {
         let bound = fgac_algebra::bind_query(self.db.catalog(), q, session.params())?;
         let normalized = fgac_algebra::normalize(&bound.plan);
         let validity_fp = ValidityCache::fingerprint_in_session(&normalized, session.params());
@@ -676,95 +639,92 @@ impl Engine {
         Ok(cached)
     }
 
-    /// Validity-checks and runs an admitted query. Panic-isolated like
-    /// [`Engine::execute_statement`]; queries never mutate tables, so no
-    /// undo snapshot is needed.
-    pub(crate) fn execute_cached_query(
-        &self,
-        session: &Session,
-        cached: &CachedPlan,
-    ) -> Result<EngineResponse> {
-        self.execute_cached_query_at(session, cached, None)
-    }
-
-    /// [`Engine::execute_cached_query`] under a request deadline.
-    pub(crate) fn execute_cached_query_at(
-        &self,
-        session: &Session,
-        cached: &CachedPlan,
-        deadline: Option<Instant>,
-    ) -> Result<EngineResponse> {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.execute_cached_query_inner(session, cached, deadline)
-        }));
-        match outcome {
-            Ok(result) => result,
-            Err(payload) => Err(Error::Internal(format!(
-                "statement execution panicked: {}",
-                panic_message(payload)
-            ))),
-        }
-    }
-
-    fn execute_cached_query_inner(
-        &self,
-        session: &Session,
-        cached: &CachedPlan,
-        deadline: Option<Instant>,
-    ) -> Result<EngineResponse> {
-        let report =
-            self.check_admitted_at(session, &cached.normalized, cached.validity_fp, deadline)?;
-        if !report.is_valid() {
-            return Err(deny_error(report));
-        }
-        // Valid: execute the ORIGINAL query, unmodified.
-        let rows = fgac_exec::execute_bound(&self.db, &cached.bound)?;
-        Ok(EngineResponse::Rows(QueryResult {
-            names: cached.bound.output_names.clone(),
-            rows,
-        }))
-    }
-
-    /// Executes an already-parsed statement (the prepared-statement
-    /// path; see [`crate::Prepared`]).
-    ///
-    /// The user path is panic-isolated: an unwind anywhere below this
-    /// frame becomes [`Error::Internal`], a DML target mutated before
-    /// the panic is rolled back to its pre-statement rows, and the
-    /// engine remains usable for subsequent statements.
-    pub fn execute_statement(
+    /// Runs an admitted statement on the `&mut` front doors: reads
+    /// through the read runner, DML through the writer.
+    pub(crate) fn run(
         &mut self,
         session: &Session,
+        admitted: Admitted<'_>,
+        deadline: Option<Instant>,
+    ) -> Result<EngineResponse> {
+        match admitted {
+            Admitted::Write { table, stmt } => self.run_write(session, &table, &stmt, deadline),
+            read => self.run_read(session, read, deadline),
+        }
+    }
+
+    /// The read runner: serves an admitted query, `EXPLAIN
+    /// AUTHORIZATION`, or session-scoped `ANALYZE` through `&self`, so
+    /// it runs under [`crate::SharedEngine`]'s shared read lock. It is
+    /// the one read-side panic boundary: an unwind anywhere below
+    /// becomes [`Error::Internal`] and the engine stays usable (reads
+    /// mutate no table, so there is nothing to roll back).
+    pub(crate) fn run_read(
+        &self,
+        session: &Session,
+        admitted: Admitted<'_>,
+        deadline: Option<Instant>,
+    ) -> Result<EngineResponse> {
+        let run = || match admitted {
+            Admitted::Query(plan) => {
+                let report = self.validity(session, &plan, deadline)?;
+                if !report.is_valid() {
+                    return Err(deny_error(report));
+                }
+                // Valid: execute the ORIGINAL query, unmodified.
+                let rows = fgac_exec::execute_bound(&self.db, &plan.bound)?;
+                Ok(EngineResponse::Rows(QueryResult {
+                    names: plan.bound.output_names.clone(),
+                    rows,
+                }))
+            }
+            // Session-scoped by construction: the check runs against the
+            // session's own grants, so — unlike ANALYZE — there is no
+            // cross-principal disclosure to guard.
+            Admitted::Explain(query) => self
+                .certify_at(session, &query, deadline)
+                .map(|report| EngineResponse::Rows(explain_authorization_result(&report))),
+            Admitted::Analyze { flow, principal } => {
+                self.analyze_session(session, flow, principal.as_deref())
+            }
+            Admitted::Write { .. } => Err(Error::Internal("DML reached the read runner".into())),
+        };
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .unwrap_or_else(|payload| Err(panicked(payload)))
+    }
+
+    /// The writer: the DML commit path for an admitted statement.
+    /// Re-checks the closed-engine and deadline gates (the caller may
+    /// have waited for the write lock since admission), snapshots the
+    /// target table, authorizes and applies the statement per tuple,
+    /// and commits (WAL append + data-version bump).
+    ///
+    /// The write-side panic boundary: an unwind below becomes
+    /// [`Error::Internal`], the target table is restored to its
+    /// pre-statement rows, and the engine stays usable.
+    pub(crate) fn run_write(
+        &mut self,
+        session: &Session,
+        table: &Ident,
         stmt: &Statement,
+        deadline: Option<Instant>,
     ) -> Result<EngineResponse> {
         self.ensure_open()?;
-        let is_dml = matches!(
-            stmt,
-            Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_)
-        );
-        let undo = match stmt {
-            Statement::Insert(i) => self.db.snapshot_table(&i.table).ok(),
-            Statement::Update(u) => self.db.snapshot_table(&u.table).ok(),
-            Statement::Delete(d) => self.db.snapshot_table(&d.table).ok(),
-            _ => None,
-        };
+        check_deadline(deadline)?;
+        let undo = self.db.snapshot_table(table).ok();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.execute_statement_inner(session, stmt)
+            UpdateAuthorizer::new(&self.grants).apply(&mut self.db, session, stmt)
         }));
         match outcome {
-            Ok(Ok(response)) => {
-                if is_dml {
-                    // Commit point: log the deltas (durable engines) and
-                    // bump the data version. A WAL failure rolls the
-                    // statement back and fails it.
-                    self.commit_dml(undo)?;
-                }
-                Ok(response)
+            Ok(Ok(n)) => {
+                // Commit point: log the deltas (durable engines) and
+                // bump the data version. A WAL failure rolls the
+                // statement back and fails it.
+                self.commit_dml(undo)?;
+                Ok(EngineResponse::Affected(n))
             }
             Ok(Err(e)) => {
-                if is_dml {
-                    self.discard_deltas();
-                }
+                self.discard_deltas();
                 Err(e)
             }
             Err(payload) => {
@@ -774,69 +734,59 @@ impl Engine {
                     // DDL is admin-only, so this cannot fail.
                     let _ = self.db.restore_table(snap);
                 }
-                Err(Error::Internal(format!(
-                    "statement execution panicked: {}",
-                    panic_message(payload)
-                )))
+                Err(panicked(payload))
             }
         }
     }
 
-    fn execute_statement_inner(
-        &mut self,
+    /// Session-scoped `ANALYZE POLICY|FLOW`. The analyzers' output *is*
+    /// policy metadata: grant sets, role memberships, revocation
+    /// tombstones, lattice cells, and messages that name other views.
+    /// On the session path that is the exact disclosure channel P005
+    /// guards against, so a session may analyze only its own effective
+    /// grants; the whole-set reports are admin surface
+    /// ([`Engine::analyze_policy`], [`Engine::analyze_flow`],
+    /// `fgac-analyze`).
+    fn analyze_session(
+        &self,
         session: &Session,
-        stmt: &Statement,
+        flow: bool,
+        principal: Option<&str>,
     ) -> Result<EngineResponse> {
-        match stmt {
-            Statement::Query(q) => {
-                // No SQL text here, so the plan cache is bypassed (the
-                // textful paths — execute / prepared statements — hit
-                // it); admission still happens exactly once.
-                let bound = fgac_algebra::bind_query(self.db.catalog(), q, session.params())?;
-                let normalized = fgac_algebra::normalize(&bound.plan);
-                let fp = ValidityCache::fingerprint_in_session(&normalized, session.params());
-                let report = self.check_admitted(session, &normalized, fp)?;
-                if !report.is_valid() {
-                    return Err(deny_error(report));
-                }
-                // Valid: execute the ORIGINAL query, unmodified.
-                let rows = fgac_exec::execute_bound(&self.db, &bound)?;
-                Ok(EngineResponse::Rows(QueryResult {
-                    names: bound.output_names,
-                    rows,
-                }))
-            }
-            // DML arms do not bump the data version themselves: the
-            // commit point (log + bump) lives in `execute_statement`,
-            // after the WAL append is known to have succeeded.
-            Statement::Insert(i) => {
-                let auth = UpdateAuthorizer::new(&self.grants);
-                let n = auth.insert(&mut self.db, session, i)?;
-                Ok(EngineResponse::Affected(n))
-            }
-            Statement::Update(u) => {
-                let auth = UpdateAuthorizer::new(&self.grants);
-                let n = auth.update(&mut self.db, session, u)?;
-                Ok(EngineResponse::Affected(n))
-            }
-            Statement::Delete(d) => {
-                let auth = UpdateAuthorizer::new(&self.grants);
-                let n = auth.delete(&mut self.db, session, d)?;
-                Ok(EngineResponse::Affected(n))
-            }
-            Statement::AnalyzePolicy(a) => self.analyze_policy_session(session, a),
-            Statement::AnalyzeFlow(a) => self.analyze_flow_session(session, a),
-            Statement::ExplainAuthorization(ex) => {
-                // Session-scoped by construction: the check runs against
-                // the session's own grants, so — unlike ANALYZE POLICY —
-                // there is no cross-principal disclosure to guard.
-                let report = self.certify_query(session, &ex.query)?;
-                Ok(EngineResponse::Rows(explain_authorization_result(&report)))
-            }
-            _ => Err(Error::Unauthorized(
-                "DDL requires the admin interface".into(),
-            )),
+        if principal.is_some_and(|p| p != session.user()) {
+            return Err(Error::Unauthorized(if flow {
+                "ANALYZE FLOW FOR another principal is admin-only; a session may analyze \
+                 only its own disclosure lattice"
+                    .into()
+            } else {
+                "ANALYZE POLICY FOR another principal is admin-only; a session may analyze \
+                 only its own grants"
+                    .into()
+            }));
         }
+        let me = Some(session.user());
+        let diags = if flow {
+            self.analyze_flow(me)
+        } else {
+            self.analyze_policy(me)
+        };
+        Ok(EngineResponse::Rows(diagnostics_result(&diags)))
+    }
+
+    /// The installed policy set in the analyzers' shape, with the
+    /// engine's budget.
+    fn policy_set(&self) -> (fgac_analyze::PolicySet<'_>, fgac_analyze::AnalyzeOptions) {
+        let set = fgac_analyze::PolicySet {
+            catalog: self.db.catalog(),
+            view_grants: self.grants.view_grants(),
+            constraint_grants: self.grants.constraint_grants(),
+            role_memberships: self.grants.role_memberships(),
+            revocations: self.grants.revoked_views(),
+        };
+        let opts = fgac_analyze::AnalyzeOptions {
+            budget: self.options.budget.clone(),
+        };
+        (set, opts)
     }
 
     /// Runs the grant-time policy static analyzer (`fgac-analyze`) over
@@ -850,16 +800,7 @@ impl Engine {
     /// severity `unknown` instead of erroring — a lint must never be
     /// the thing that panics or wedges the DBA path.
     pub fn analyze_policy(&self, principal: Option<&str>) -> Vec<Diagnostic> {
-        let set = fgac_analyze::PolicySet {
-            catalog: self.db.catalog(),
-            view_grants: self.grants.view_grants(),
-            constraint_grants: self.grants.constraint_grants(),
-            role_memberships: self.grants.role_memberships(),
-            revocations: self.grants.revoked_views(),
-        };
-        let opts = fgac_analyze::AnalyzeOptions {
-            budget: self.options.budget.clone(),
-        };
+        let (set, opts) = self.policy_set();
         fgac_analyze::analyze_policy_set(&set, principal, &opts)
     }
 
@@ -873,16 +814,7 @@ impl Engine {
     /// admission caches, so a single grant re-analyzes only the
     /// affected principals. Fails open like the policy lints.
     pub fn analyze_flow(&self, principal: Option<&str>) -> Vec<Diagnostic> {
-        let set = fgac_analyze::PolicySet {
-            catalog: self.db.catalog(),
-            view_grants: self.grants.view_grants(),
-            constraint_grants: self.grants.constraint_grants(),
-            role_memberships: self.grants.role_memberships(),
-            revocations: self.grants.revoked_views(),
-        };
-        let opts = fgac_analyze::AnalyzeOptions {
-            budget: self.options.budget.clone(),
-        };
+        let (set, opts) = self.policy_set();
         match principal {
             Some(p) => self.flow.analyze_one(&set, p, &opts),
             None => self.flow.analyze_full(&set, self.policy_epoch, &opts),
@@ -892,16 +824,7 @@ impl Engine {
     /// F004: what a proposed grant would newly disclose, computed
     /// against the live policy set without applying the grant.
     pub fn flow_diff_grant(&self, grant: &fgac_analyze::ProposedGrant) -> Vec<Diagnostic> {
-        let set = fgac_analyze::PolicySet {
-            catalog: self.db.catalog(),
-            view_grants: self.grants.view_grants(),
-            constraint_grants: self.grants.constraint_grants(),
-            role_memberships: self.grants.role_memberships(),
-            revocations: self.grants.revoked_views(),
-        };
-        let opts = fgac_analyze::AnalyzeOptions {
-            budget: self.options.budget.clone(),
-        };
+        let (set, opts) = self.policy_set();
         fgac_analyze::flow_diff_grant(&set, grant, &opts)
     }
 
@@ -929,109 +852,93 @@ impl Engine {
     /// `fgac-analyze --certify`: an ACCEPT whose derivation the checker
     /// rejects is reported as an error, not returned.
     pub fn certify(&self, session: &Session, sql: &str) -> Result<ValidityReport> {
-        let query = fgac_sql::parse_query(sql)?;
-        self.certify_query(session, &query)
+        self.certify_query(session, &fgac_sql::parse_query(sql)?)
     }
 
     /// [`Engine::certify`] for an already-parsed query.
-    pub fn certify_query(
+    pub fn certify_query(&self, session: &Session, query: &sql::Query) -> Result<ValidityReport> {
+        self.certify_at(session, query, None)
+    }
+
+    /// [`Engine::certify_query`] under a request deadline, clamped onto
+    /// the budget exactly as for a query's cold check.
+    fn certify_at(
         &self,
         session: &Session,
-        query: &fgac_sql::Query,
+        query: &sql::Query,
+        deadline: Option<Instant>,
     ) -> Result<ValidityReport> {
-        let mut options = self.options.clone();
-        options.emit_certificates = true;
-        let caps =
-            self.compiled
-                .principal(self.policy_epoch, session.user(), self.db.catalog(), &self.grants);
-        let mut report = Validator::new(&self.db, &self.grants)
-            .with_options(options)
-            .with_compiled(caps)
-            .check_query(session, query)?;
-        if let Some(cert) = &mut report.certificate {
-            cert.policy_epoch = self.policy_epoch;
-        }
+        let report = self.validate(session, deadline, true, |v| v.check_query(session, query))?;
         if report.is_valid() {
             let Some(cert) = &report.certificate else {
                 return Err(Error::Execution(
                     "validator accepted without emitting a certificate".into(),
                 ));
             };
-            let diags = fgac_analyze::check_certificate(
-                cert,
-                &self.certificate_policy(),
-                &fgac_analyze::CheckerOptions::default(),
-            );
-            if !diags.is_empty() {
-                let msgs: Vec<String> = diags
-                    .iter()
-                    .map(|d| format!("{}: {}", d.code.as_str(), d.message))
-                    .collect();
-                return Err(Error::Execution(format!(
-                    "certificate failed independent verification: {}",
-                    msgs.join("; ")
-                )));
-            }
+            self.verify_certificate(cert, "certificate failed independent verification")?;
         }
         Ok(report)
+    }
+
+    /// Re-verifies an accept's certificate with the independent checker
+    /// against the live policy; a rejection becomes an
+    /// [`Error::Execution`] prefixed with `what`.
+    fn verify_certificate(&self, cert: &fgac_analyze::Certificate, what: &str) -> Result<()> {
+        let diags = fgac_analyze::check_certificate(
+            cert,
+            &self.certificate_policy(),
+            &fgac_analyze::CheckerOptions::default(),
+        );
+        if diags.is_empty() {
+            return Ok(());
+        }
+        let msgs: Vec<String> = diags
+            .iter()
+            .map(|d| format!("{}: {}", d.code.as_str(), d.message))
+            .collect();
+        Err(Error::Execution(format!("{what}: {}", msgs.join("; "))))
     }
 
     /// The validity check alone (with caching) — what the optimizer
     /// would run at prepare time. Warms both the plan cache and the
     /// validity cache.
     pub fn check(&self, session: &Session, sql: &str) -> Result<ValidityReport> {
-        let cached = match self.plan_cache.get(sql, session.params()) {
-            Some(c) => c,
-            None => {
-                let q = fgac_sql::parse_query(sql)?;
-                self.admit_query(session, sql, &q)?
-            }
-        };
-        self.check_admitted(session, &cached.normalized, cached.validity_fp)
+        let parse_query =
+            |sql: &str| fgac_sql::parse_query(sql).map(|q| Cow::Owned(Statement::Query(q)));
+        match self.admit(session, sql, parse_query, None)? {
+            Admitted::Query(plan) => self.validity(session, &plan, None),
+            _ => Err(Error::Internal("check admitted a non-query".into())),
+        }
     }
 
-    /// Validity check of an admitted (bound + normalized) plan through
-    /// the validity cache.
-    fn check_admitted(
+    /// Validity of an admitted plan through the validity cache: a fresh
+    /// hit, a stale accept whose certificate re-verifies, or a cold
+    /// check whose verdict is stored. The remaining wall-clock time is
+    /// clamped onto the configured [`fgac_types::Budget`], so the
+    /// validator's own meter enforces it mid-inference. An
+    /// already-expired deadline denies *before* the cache lookup —
+    /// nothing is read, nothing is stored.
+    fn validity(
         &self,
         session: &Session,
-        plan: &fgac_algebra::Plan,
-        fp: u64,
-    ) -> Result<ValidityReport> {
-        self.check_admitted_at(session, plan, fp, None)
-    }
-
-    /// [`Engine::check_admitted`] under a request deadline: the
-    /// remaining wall-clock time is clamped onto the configured
-    /// [`fgac_types::Budget`], so the validator's own meter enforces it
-    /// mid-inference. An already-expired deadline denies *before* the
-    /// cache lookup — nothing is read, nothing is stored.
-    fn check_admitted_at(
-        &self,
-        session: &Session,
-        plan: &fgac_algebra::Plan,
-        fp: u64,
+        plan: &CachedPlan,
         deadline: Option<Instant>,
     ) -> Result<ValidityReport> {
         check_deadline(deadline)?;
+        let fp = plan.validity_fp;
         match self
             .cache
             .lookup(session.user(), fp, self.data_version, self.policy_epoch)
         {
             CacheOutcome::Hit(verdict) => {
-                return Ok(ValidityReport {
+                let reason = (verdict == Verdict::Invalid)
+                    .then(|| "query rejected (cached verdict)".to_string());
+                return Ok(unproved_report(
                     verdict,
-                    rules: vec!["validity cache hit".into()],
-                    reason: if verdict == Verdict::Invalid {
-                        Some("query rejected (cached verdict)".into())
-                    } else {
-                        None
-                    },
-                    dag_stats: Default::default(),
-                    views_considered: 0,
-                    exhausted: None,
-                    certificate: None,
-                });
+                    "validity cache hit".into(),
+                    reason,
+                    None,
+                ));
             }
             // Computed under an older grant state but the accept carries
             // its derivation: re-verify the certificate against the
@@ -1050,85 +957,43 @@ impl Engine {
                 );
                 if diags.is_empty() {
                     self.cache.revalidated(session.user(), fp, self.policy_epoch);
-                    return Ok(ValidityReport {
-                        verdict,
-                        rules: vec![
-                            "validity cache hit (certificate revalidated against current grants)"
-                                .into(),
-                        ],
-                        reason: None,
-                        dag_stats: Default::default(),
-                        views_considered: 0,
-                        exhausted: None,
-                        certificate: None,
-                    });
+                    let rule =
+                        "validity cache hit (certificate revalidated against current grants)";
+                    return Ok(unproved_report(verdict, rule.into(), None, None));
                 }
                 self.cache.evict_stale(session.user(), fp);
                 // Fall through to the cold check below.
             }
             CacheOutcome::Miss => {}
         }
-        let mut options = self.options.clone();
-        clamp_budget_deadline(&mut options, deadline);
-        let caps =
-            self.compiled
-                .principal(self.policy_epoch, session.user(), self.db.catalog(), &self.grants);
-        let report = match Validator::new(&self.db, &self.grants)
-            .with_options(options)
-            .with_compiled(caps)
-            .check_plan(session, plan)
-        {
-            Ok(mut report) => {
-                // The validator stamps epoch 0; rebase the certificate on
-                // the live policy epoch it was actually minted under.
-                if let Some(cert) = &mut report.certificate {
-                    cert.policy_epoch = self.policy_epoch;
-                }
-                // Shadow mode: in debug builds, every ACCEPT must carry a
-                // certificate the independent checker verifies. A failure
-                // here is an engine bug (the derivation and the proof
-                // disagree), never a user error.
-                #[cfg(debug_assertions)]
-                if report.is_valid() {
-                    if let Some(cert) = &report.certificate {
-                        let diags = fgac_analyze::check_certificate(
-                            cert,
-                            &self.certificate_policy(),
-                            &fgac_analyze::CheckerOptions::default(),
-                        );
-                        if !diags.is_empty() {
-                            let msgs: Vec<String> = diags
-                                .iter()
-                                .map(|d| format!("{}: {}", d.code.as_str(), d.message))
-                                .collect();
-                            return Err(Error::Execution(format!(
-                                "shadow certificate check failed: {}",
-                                msgs.join("; ")
-                            )));
-                        }
-                    }
-                }
-                report
-            }
+        let report = match self.validate(session, deadline, false, |v| {
+            v.check_plan(session, &plan.normalized)
+        }) {
+            Ok(report) => report,
             Err(Error::ResourceExhausted(phase)) => {
                 // Fail closed: an interrupted check denies. The verdict is
                 // NOT cached — a retry under a larger budget (or a calmer
                 // system) may legitimately accept the same query.
-                return Ok(ValidityReport {
-                    verdict: Verdict::Invalid,
-                    rules: vec![format!("check aborted: budget exhausted in {phase}")],
-                    reason: Some(format!(
+                return Ok(unproved_report(
+                    Verdict::Invalid,
+                    format!("check aborted: budget exhausted in {phase}"),
+                    Some(format!(
                         "validity check exhausted its resource budget ({phase}); \
                          denied fail-closed"
                     )),
-                    dag_stats: Default::default(),
-                    views_considered: 0,
-                    exhausted: Some(phase),
-                    certificate: None,
-                });
+                    Some(phase),
+                ));
             }
             Err(e) => return Err(e),
         };
+        // Shadow mode: in debug builds, every ACCEPT must carry a
+        // certificate the independent checker verifies. A failure here
+        // is an engine bug (the derivation and the proof disagree),
+        // never a user error.
+        #[cfg(debug_assertions)]
+        if let (true, Some(cert)) = (report.is_valid(), &report.certificate) {
+            self.verify_certificate(cert, "shadow certificate check failed")?;
+        }
         // Accepts keep their certificate alongside the verdict so a
         // later policy change can warm-revalidate instead of dropping
         // the entry; denials (and emission-off checks) store none.
@@ -1141,6 +1006,35 @@ impl Engine {
             report.verdict,
             cert,
         );
+        Ok(report)
+    }
+
+    /// Runs one validity check. The one place a [`Validator`] is built:
+    /// the principal's compiled capabilities plus the engine options,
+    /// with the request deadline clamped onto the budget and
+    /// certificate emission forced on when `certify`. The validator
+    /// stamps epoch 0; the certificate is rebased here on the live
+    /// policy epoch it was actually minted under.
+    fn validate(
+        &self,
+        session: &Session,
+        deadline: Option<Instant>,
+        certify: bool,
+        check: impl FnOnce(&Validator<'_>) -> Result<ValidityReport>,
+    ) -> Result<ValidityReport> {
+        let mut options = self.options.clone();
+        options.emit_certificates |= certify;
+        clamp_budget_deadline(&mut options, deadline);
+        let caps =
+            self.compiled
+                .principal(self.policy_epoch, session.user(), self.db.catalog(), &self.grants);
+        let validator = Validator::new(&self.db, &self.grants)
+            .with_options(options)
+            .with_compiled(caps);
+        let mut report = check(&validator)?;
+        if let Some(cert) = &mut report.certificate {
+            cert.policy_epoch = self.policy_epoch;
+        }
         Ok(report)
     }
 
@@ -1159,9 +1053,6 @@ impl Engine {
     }
 }
 
-/// Maps a non-valid report to the engine's deny error, preserving the
-/// ResourceExhausted class so callers can distinguish "proved invalid"
-/// from "ran out of budget before proving validity" — both deny.
 /// Renders analyzer diagnostics as a result set, so `ANALYZE POLICY`
 /// works from any client that can run a statement (e.g. the repl).
 fn diagnostics_result(diags: &[Diagnostic]) -> QueryResult {
@@ -1264,6 +1155,28 @@ fn clamp_budget_deadline(options: &mut CheckOptions, deadline: Option<Instant>) 
     }
 }
 
+/// A report whose verdict came from a cache or an aborted check rather
+/// than a finished proof: one rule line, no DAG, no certificate.
+fn unproved_report(
+    verdict: Verdict,
+    rule: String,
+    reason: Option<String>,
+    exhausted: Option<String>,
+) -> ValidityReport {
+    ValidityReport {
+        verdict,
+        rules: vec![rule],
+        reason,
+        dag_stats: Default::default(),
+        views_considered: 0,
+        exhausted,
+        certificate: None,
+    }
+}
+
+/// Maps a non-valid report to the engine's deny error, preserving the
+/// ResourceExhausted class so callers can distinguish "proved invalid"
+/// from "ran out of budget before proving validity" — both deny.
 fn deny_error(report: ValidityReport) -> Error {
     if let Some(phase) = report.exhausted {
         return Error::ResourceExhausted(phase);
@@ -1273,14 +1186,16 @@ fn deny_error(report: ValidityReport) -> Error {
     }))
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
+/// The [`Error::Internal`] a caught panic becomes.
+fn panicked(payload: Box<dyn std::any::Any + Send>) -> Error {
+    let msg = if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
+    };
+    Error::Internal(format!("statement execution panicked: {msg}"))
 }
 
 impl Default for Engine {

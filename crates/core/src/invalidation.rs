@@ -1,8 +1,8 @@
 //! Dependency-tracked policy-change invalidation.
 //!
 //! Before this module, every grant, revoke, role change, or DDL bumped
-//! the global `policy_epoch` and cold-started all three admission
-//! caches at once — the plan cache, the sharded validity cache, and the
+//! the global `policy_epoch` and cold-started every cache admission
+//! reads at once — the plan cache, the sharded validity cache, and the
 //! compiled capability snapshots. Under server traffic with frequent
 //! policy churn that is a recurring p99 cliff: one revocation for one
 //! principal re-proves every other principal's working set from

@@ -41,7 +41,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::cache::CacheStats;
+use crate::cache::{bump, unpack, CacheStats, HIT_UNIT, MISS_UNIT};
 
 /// Default number of cached plans (per engine).
 const DEFAULT_CAPACITY: usize = 256;
@@ -89,7 +89,7 @@ struct Inner {
 pub struct PlanCache {
     inner: Mutex<Inner>,
     capacity: usize,
-    /// `hits << 32 | misses`, one relaxed fetch_add per lookup (see
+    /// `hits << 32 | misses`, one saturating update per lookup (see
     /// [`crate::cache::ValidityCache`] for the packing rationale).
     counters: AtomicU64,
     /// Entries dropped by dependency invalidation and clears —
@@ -138,11 +138,8 @@ impl PlanCache {
             slot.value.clone()
         });
         drop(inner);
-        if found.is_some() {
-            self.counters.fetch_add(1 << 32, Ordering::Relaxed);
-        } else {
-            self.counters.fetch_add(1, Ordering::Relaxed);
-        }
+        let unit = if found.is_some() { HIT_UNIT } else { MISS_UNIT };
+        bump(&self.counters, unit);
         found
     }
 
@@ -212,8 +209,7 @@ impl PlanCache {
 
     /// (hits, misses) from one atomic load — internally consistent.
     pub fn stats(&self) -> (u64, u64) {
-        let packed = self.counters.load(Ordering::Relaxed);
-        (packed >> 32, packed & 0xFFFF_FFFF)
+        unpack(self.counters.load(Ordering::Relaxed))
     }
 
     /// Entries dropped by dependency sweeps and clears, cumulative.
@@ -320,5 +316,17 @@ mod tests {
         let (hits, _) = c.stats();
         assert_eq!(hits, 1);
         assert_eq!(c.invalidated_entries(), 1);
+    }
+
+    #[test]
+    fn miss_count_saturates_without_carrying_into_hits() {
+        let c = PlanCache::new();
+        let params = ParamScope::new();
+        c.counters.store(u64::from(u32::MAX), Ordering::Relaxed);
+        assert!(c.get("q", &params).is_none());
+        assert_eq!(c.stats(), (0, u64::from(u32::MAX)));
+        c.insert("q", &params, cached_plan());
+        assert!(c.get("q", &params).is_some());
+        assert_eq!(c.stats(), (1, u64::from(u32::MAX)));
     }
 }

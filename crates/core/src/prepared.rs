@@ -17,6 +17,7 @@ use crate::engine::{Engine, EngineResponse};
 use crate::session::Session;
 use fgac_sql::Statement;
 use fgac_types::{Error, Result};
+use std::borrow::Cow;
 
 /// A parsed, reusable statement.
 #[derive(Debug, Clone)]
@@ -53,27 +54,23 @@ impl Engine {
     }
 
     /// Executes a prepared statement for a session (validity checked,
-    /// cache-accelerated).
+    /// cache-accelerated). The prepared text keys the plan cache, so a
+    /// re-executed query reuses the cached bound plan (no re-bind) and
+    /// its precomputed validity fingerprint; on a miss the stored AST is
+    /// admitted without re-parsing. DML is authorized per tuple every
+    /// time.
     pub fn execute_prepared(
         &mut self,
         session: &Session,
         prepared: &Prepared,
     ) -> Result<EngineResponse> {
-        match &prepared.stmt {
-            // Queries ride the full hot path: the prepared text keys the
-            // plan cache, so a re-execution reuses the cached bound plan
-            // (no re-bind) and its precomputed validity fingerprint.
-            Statement::Query(q) => {
-                let cached = match self.plan_cache().get(&prepared.text, session.params()) {
-                    Some(c) => c,
-                    None => self.admit_query(session, &prepared.text, q)?,
-                };
-                self.execute_cached_query(session, &cached)
-            }
-            // DML re-dispatches on the stored statement; parsing is
-            // skipped, per-tuple authorization runs every time.
-            _ => self.execute_statement(session, &prepared.stmt),
-        }
+        let admitted = self.admit(
+            session,
+            &prepared.text,
+            |_| Ok(Cow::Borrowed(&prepared.stmt)),
+            None,
+        )?;
+        self.run(session, admitted, None)
     }
 }
 

@@ -5,15 +5,21 @@
 //! seam that makes the single-threaded [`Engine`] safe to share. The
 //! split follows the engine's own mutability structure:
 //!
-//! * **Read-only statements** — queries, `EXPLAIN AUTHORIZATION`,
-//!   session-scoped `ANALYZE POLICY` — need only `&Engine`
-//!   ([`Engine::try_execute_read`]). They run under a **shared read
-//!   lock** against the epoch-versioned catalog/grants; the plan and
-//!   validity caches already use interior mutability (sharded locks +
-//!   atomic counters), so concurrent readers admit in parallel.
-//! * **Writes** — DML, DDL, grants/revocations, role changes —
-//!   serialize through the **single writer** path (`&mut Engine`), which
-//!   holds exclusivity across the existing WAL commit points. A grant or
+//! * **Every statement is admitted under the shared read lock** — the
+//!   engine's one admit step: plan-cache lookup, parse on a miss, and
+//!   classification. Read-only statements — queries, `EXPLAIN
+//!   AUTHORIZATION`, session-scoped `ANALYZE POLICY|FLOW` — then run
+//!   through the read runner under that same lock, against the
+//!   epoch-versioned catalog/grants; the plan and validity caches use
+//!   interior mutability (sharded locks + atomic counters), so
+//!   concurrent readers admit in parallel. DDL is rejected at
+//!   admission without ever taking the write lock.
+//! * **Writes** — DML, plus the admin path's DDL, grants/revocations
+//!   and role changes — serialize through the **single writer** path
+//!   (`&mut Engine`), which holds exclusivity across the WAL commit
+//!   points. DML reaches it already parsed, after the read guard is
+//!   released; the writer re-checks the closed-engine and deadline
+//!   gates, then runs the DML commit path. A grant or
 //!   revocation therefore bumps the policy epoch and clears the caches
 //!   *while no reader holds a verdict in its hands*: any check that
 //!   started before the write completed under the old grants (correct —
@@ -26,7 +32,7 @@
 //! structure: the epoch bump and cache clear happen inside the writer's
 //! critical section.
 
-use crate::engine::{Engine, EngineResponse};
+use crate::engine::{parse_statement, Admitted, Engine, EngineResponse};
 use crate::session::Session;
 use fgac_types::Result;
 use parking_lot::RwLock;
@@ -68,17 +74,20 @@ impl SharedEngine {
         sql: &str,
         deadline: Option<Instant>,
     ) -> Result<EngineResponse> {
-        {
+        let (table, stmt) = {
             let engine = self.inner.read();
-            if let Some(result) = engine.try_execute_read(session, sql, deadline) {
-                return result;
+            match engine.admit(session, sql, parse_statement, deadline)? {
+                Admitted::Write { table, stmt } => (table, stmt),
+                read => return engine.run_read(session, read, deadline),
             }
-        }
-        // A write statement: re-enter through the exclusive path. The
-        // deadline is re-checked inside (lock acquisition may have
-        // consumed the remaining allowance).
-        let mut engine = self.inner.write();
-        engine.execute_at(session, sql, deadline)
+        };
+        // DML: the read guard is released above (never upgraded), and
+        // the already-parsed statement goes to the writer, which
+        // re-checks the deadline — waiting for the write lock may have
+        // consumed the remaining allowance.
+        self.inner
+            .write()
+            .run_write(session, &table, &stmt, deadline)
     }
 
     /// Runs `f` under the shared read lock.

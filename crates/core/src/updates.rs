@@ -32,6 +32,24 @@ impl<'a> UpdateAuthorizer<'a> {
         UpdateAuthorizer { grants }
     }
 
+    /// Authorizes and (if allowed) executes one DML statement; any other
+    /// statement kind is an internal error.
+    pub(crate) fn apply(
+        &self,
+        db: &mut Database,
+        session: &Session,
+        stmt: &sql::Statement,
+    ) -> Result<usize> {
+        match stmt {
+            sql::Statement::Insert(i) => self.insert(db, session, i),
+            sql::Statement::Update(u) => self.update(db, session, u),
+            sql::Statement::Delete(d) => self.delete(db, session, d),
+            _ => Err(Error::Internal(
+                "the update authorizer applies DML only".into(),
+            )),
+        }
+    }
+
     /// Authorizes and (if allowed) executes an INSERT.
     pub fn insert(
         &self,

@@ -332,3 +332,127 @@ fn deadline_expiry_is_never_a_wrong_allow_or_plain_deny() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// EXPLAIN AUTHORIZATION runs through the same read runner as a query:
+// the same panic boundary and the same deadline-clamped budget, on
+// every front door.
+// ---------------------------------------------------------------------------
+
+/// The paper's schema; user 11 holds CoStudentGrades and
+/// MyRegistrations, so a per-course grades query is conditionally valid
+/// (C3) and its proof probes the database.
+fn co_student_engine(extra_views: usize) -> Engine {
+    let mut e = Engine::new();
+    e.admin_script(
+        "
+        create table registered (
+            student_id varchar not null, course_id varchar not null,
+            primary key (student_id, course_id));
+        create table grades (
+            student_id varchar not null, course_id varchar not null,
+            grade int, primary key (student_id, course_id));
+        create authorization view MyRegistrations as
+            select * from registered where student_id = $user_id;
+        create authorization view CoStudentGrades as
+            select grades.* from grades, registered
+            where registered.student_id = $user_id
+              and grades.course_id = registered.course_id;
+        insert into registered values ('11', 'cs101'), ('12', 'cs101');
+        insert into grades values ('11', 'cs101', 90), ('12', 'cs101', 70);
+        ",
+    )
+    .unwrap();
+    for v in ["costudentgrades", "myregistrations"] {
+        e.grant_view("11", v).unwrap();
+    }
+    // Views that never cover the query but that the prover must still
+    // consider: they lengthen the cold proof.
+    for i in 0..extra_views {
+        e.admin_script(&format!(
+            "create authorization view pad{i} as
+                 select grades.* from grades, registered
+                 where registered.student_id = $user_id
+                   and grades.course_id = registered.course_id
+                   and grades.grade > {i}"
+        ))
+        .unwrap();
+        e.grant_view("11", &format!("pad{i}")).unwrap();
+    }
+    e
+}
+
+const EXPLAIN_C3: &str = "explain authorization select * from grades where course_id = 'cs101'";
+
+#[test]
+fn explain_probe_panic_is_isolated_on_every_front_door() {
+    let _guard = Disarm;
+    let s = Session::new("11");
+
+    let mut e = co_student_engine(0);
+    faults::arm("exec::eval", Fault::PanicOnNth(1));
+    let err = with_quiet_panics(|| e.execute(&s, EXPLAIN_C3)).unwrap_err();
+    assert!(matches!(err, Error::Internal(_)), "got {err:?}");
+    faults::disarm_all();
+    assert!(
+        e.execute(&s, EXPLAIN_C3).is_ok(),
+        "engine answers the next request"
+    );
+
+    let shared = fgac_core::SharedEngine::new(co_student_engine(0));
+    faults::arm("exec::eval", Fault::PanicOnNth(1));
+    let outcome = with_quiet_panics(|| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            shared.execute(&s, EXPLAIN_C3)
+        }))
+    });
+    faults::disarm_all();
+    match outcome {
+        Ok(Err(Error::Internal(_))) => {}
+        Ok(other) => panic!("expected Error::Internal, got {other:?}"),
+        Err(_) => panic!("the probe panic escaped SharedEngine::execute"),
+    }
+    assert!(
+        shared.execute(&s, EXPLAIN_C3).is_ok(),
+        "engine answers the next request"
+    );
+}
+
+#[test]
+fn explain_authorization_honours_the_request_deadline() {
+    use std::time::{Duration, Instant};
+    let s = Session::new("11");
+    // Eight padding views make the cold C3 proof take over 100 ms in a
+    // debug build — two orders of magnitude past a 1 ms deadline.
+    let mut e = co_student_engine(8);
+    let shared = fgac_core::SharedEngine::new(co_student_engine(8));
+    let deadlined = [
+        e.execute_at(
+            &s,
+            EXPLAIN_C3,
+            Some(Instant::now() + Duration::from_millis(1)),
+        ),
+        shared.execute_at(
+            &s,
+            EXPLAIN_C3,
+            Some(Instant::now() + Duration::from_millis(1)),
+        ),
+    ];
+    for outcome in deadlined {
+        match outcome {
+            Err(Error::ResourceExhausted(m)) => assert!(m.contains("deadline"), "{m}"),
+            other => panic!("expected a deadline-marked ResourceExhausted, got {other:?}"),
+        }
+    }
+
+    // With time to spare the same statement certifies.
+    let generous = Some(Instant::now() + Duration::from_secs(600));
+    for outcome in [
+        e.execute_at(&s, EXPLAIN_C3, generous),
+        shared.execute_at(&s, EXPLAIN_C3, generous),
+    ] {
+        let rows = outcome.unwrap();
+        let verdict = &rows.rows().unwrap().rows[0];
+        assert_eq!(verdict.get(2), &Value::Str("conditional".into()));
+    }
+}
