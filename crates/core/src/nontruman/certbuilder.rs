@@ -8,6 +8,10 @@
 //! which step backs each view root, so a DAG-propagation acceptance can
 //! name its supporting premises via [`Marking`] provenance.
 //!
+//! Only the goal's derivation survives [`CertBuilder::take`]: steps the
+//! goal's premise chains never reach (restrictions, compositions and
+//! views that led nowhere) are pruned.
+//!
 //! When disabled (`CheckOptions::emit_certificates == false`) every
 //! method is a no-op and `push` returns a dummy index, so the validator
 //! logic stays branch-free.
@@ -79,12 +83,12 @@ impl CertBuilder {
         if !self.enabled {
             return Vec::new();
         }
-        let mut out: Vec<usize> = marking
-            .supporting_roots(dag, class)
+        let (roots, marks) = marking.support(dag, class);
+        let mut out: Vec<usize> = roots
             .into_iter()
             .filter_map(|i| self.root_steps.get(i).copied())
             .collect();
-        for c in marking.supporting_marks(dag, class) {
+        for c in marks {
             if let Some(s) = self.step_for_class(dag, c) {
                 out.push(s);
             }
@@ -94,8 +98,42 @@ impl CertBuilder {
         out
     }
 
-    /// Consumes the builder, yielding the accumulated steps.
-    pub fn take(self) -> Vec<Step> {
+    /// Consumes the builder, yielding the goal's derivation: the last
+    /// (goal) step and every step its premise chains reach, in recording
+    /// order with premises renumbered. Steps recorded on paths that did
+    /// not lead to the goal are dropped, so a certificate names only the
+    /// views and constraints its verdict depends on. Steps are moved,
+    /// never cloned.
+    pub fn take(mut self) -> Vec<Step> {
+        const DEAD: usize = usize::MAX;
+        // Mark the closure: premises always cite earlier steps, so one
+        // backward sweep from the goal reaches every live step.
+        let mut index = vec![DEAD; self.steps.len()];
+        if let Some(goal) = index.last_mut() {
+            *goal = 0;
+        }
+        for i in (0..index.len()).rev() {
+            if index[i] != DEAD {
+                for &p in &self.steps[i].premises {
+                    debug_assert!(p < i, "step {i} cites a later step {p}");
+                    index[p] = 0;
+                }
+            }
+        }
+        // Number the live steps, drop the rest, renumber premises.
+        for (kept, slot) in index.iter_mut().filter(|s| **s != DEAD).enumerate() {
+            *slot = kept;
+        }
+        let mut i = 0;
+        self.steps.retain(|_| {
+            i += 1;
+            index[i - 1] != DEAD
+        });
+        for step in &mut self.steps {
+            for p in &mut step.premises {
+                *p = index[*p];
+            }
+        }
         self.steps
     }
 }

@@ -41,7 +41,7 @@ use fgac_analyze::{CertVerdict, Certificate, RuleId, Step};
 use fgac_optimizer::{expand, mark_valid, Dag, DagStats, EqId, ExpandOptions, Marking, Operator};
 use fgac_storage::Database;
 use fgac_types::{Budget, BudgetMeter, Ident, Result, Value};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Phase label the validator's own pipeline steps charge under.
 const PHASE: &str = "inference rounds";
@@ -173,7 +173,7 @@ pub struct Validator<'a> {
 }
 
 /// A block known computable by the user, with its validity flavor.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ValidBlock {
     block: SpjBlock,
     origin: String,
@@ -188,7 +188,7 @@ struct ValidBlock {
 /// signature instead of scanning the whole set — the SPJ matcher can
 /// only succeed on an exact scan-multiset match, so everything outside
 /// the bucket is a guaranteed miss.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct ValidSet {
     blocks: Vec<ValidBlock>,
     index: matcher::CandidateIndex,
@@ -339,7 +339,7 @@ impl<'a> Validator<'a> {
                 let cert = self.certificate(
                     session,
                     CertVerdict::Unconditional,
-                    &query_tables,
+                    query_tables,
                     &qblock,
                     builder,
                 );
@@ -529,8 +529,20 @@ impl<'a> Validator<'a> {
             &mut builder,
             "U1/U2: DAG unification + subsumption",
         ) {
-            let cert = self.certificate(session, CertVerdict::Unconditional, &query_tables, &qblock, builder);
-            return Ok(self.report(Verdict::Unconditional, rules, dag_stats, views_considered, cert));
+            let cert = self.certificate(
+                session,
+                CertVerdict::Unconditional,
+                query_tables,
+                &qblock,
+                builder,
+            );
+            return Ok(self.report(
+                Verdict::Unconditional,
+                rules,
+                dag_stats,
+                views_considered,
+                cert,
+            ));
         }
 
         // --- Valid blocks for the matcher + U3 derivations. -----------
@@ -543,137 +555,161 @@ impl<'a> Validator<'a> {
 
         let visible: BTreeSet<Ident> =
             self.grants.constraints_for(session.user()).into_iter().collect();
+        // Goal-directed strengthening (U2 moves toward the query):
+        // restrict valid blocks by the query's own predicates, and compose
+        // pairs of valid blocks when the query spans more tables than any
+        // single one (Examples 5.3 and 5.4).
+        let strengthen_goal = match &qblock {
+            Some(qb) if self.options.enable_u3 || self.options.enable_c3 => Some(qb),
+            _ => None,
+        };
+        // A composition is useful only when its scan multiset covers the
+        // query's tables and fits inside them plus at most one instance of
+        // each potential U3/C3 remainder table (a destination of a visible
+        // inclusion dependency). This keeps e.g. hundreds of single-table
+        // views from composing with each other quadratically. `compose`
+        // concatenates the two scan lists, so the test runs on the pair
+        // before anything is built.
+        let mut table_budget: BTreeMap<Ident, usize> = BTreeMap::new();
+        if let Some(qb) = strengthen_goal {
+            for (t, _) in &qb.scans {
+                *table_budget.entry(t.clone()).or_insert(0) += 1;
+            }
+            let remainders: BTreeSet<Ident> = self
+                .db
+                .catalog()
+                .all_inclusions()
+                .into_iter()
+                .filter(|d| visible.contains(&d.name))
+                .map(|d| d.dst_table)
+                .collect();
+            for t in remainders {
+                *table_budget.entry(t).or_insert(0) += 1;
+            }
+        }
+        let composable = |qb: &SpjBlock, a: &SpjBlock, b: &SpjBlock| -> bool {
+            let scans = || a.scans.iter().chain(&b.scans).map(|(t, _)| t);
+            qb.scans.iter().all(|(t, _)| scans().any(|s| s == t))
+                && scans().all(|t| {
+                    scans().filter(|s| *s == t).count() <= table_budget.get(t).copied().unwrap_or(0)
+                })
+        };
+        // Semi-naive rounds: restriction and composition are functions of
+        // their inputs alone and every result lands in `valid_blocks`, so
+        // re-running them on blocks (or pairs) a previous round already
+        // saw adds nothing. Each round restricts only the blocks added
+        // since the last restriction pass and composes only the pairs with
+        // at least one block newer than the last composition pass.
+        let mut restricted_upto = 0;
+        let mut composed_upto = 0;
         for _round in 0..self.options.max_rounds {
             meter.charge(PHASE, 1)?;
             let mut changed = false;
 
-            // Goal-directed strengthening (U2 moves toward the query):
-            // restrict valid blocks by the query's own predicates, and
-            // compose pairs of valid blocks when the query spans more
-            // tables than any single one (Examples 5.3 and 5.4).
-            if self.options.enable_u3 || self.options.enable_c3 {
-                if let Some(qb) = &qblock {
-                    let snapshot: Vec<ValidBlock> = valid_blocks.blocks.clone();
-                    for vb in &snapshot {
-                        meter.charge(PHASE, 1)?;
-                        if let Some(restricted) = strengthen::restrict_by_query(qb, &vb.block) {
-                            if !valid_blocks.contains(&restricted) {
-                                let origin = format!("σ-restriction of {}", vb.origin);
-                                let mut s = Step::new(RuleId::U2Restrict);
-                                s.block = Some(restricted.clone());
-                                s.premises = vec![vb.step];
-                                s.note = origin.clone();
-                                let step = builder.push(s);
-                                valid_blocks.push(restricted, origin, step);
-                                changed = true;
-                            }
+            if let Some(qb) = strengthen_goal {
+                let snapshot = valid_blocks.len();
+                for i in restricted_upto..snapshot {
+                    meter.charge(PHASE, 1)?;
+                    let vb = &valid_blocks.blocks[i];
+                    if let Some(restricted) = strengthen::restrict_by_query(qb, &vb.block) {
+                        if !valid_blocks.contains(&restricted) {
+                            let origin = format!("σ-restriction of {}", vb.origin);
+                            let mut s = Step::new(RuleId::U2Restrict);
+                            s.block = Some(restricted.clone());
+                            s.premises = vec![vb.step];
+                            s.note = origin.clone();
+                            let step = builder.push(s);
+                            valid_blocks.push(restricted, origin, step);
+                            changed = true;
                         }
                     }
-                    // Pairwise composition, bounded to small blocks. A
-                    // composition is useful only when its scan multiset
-                    // fits inside the query's tables plus at most one
-                    // instance of each potential U3/C3 remainder table
-                    // (a destination of a visible inclusion dependency).
-                    // This keeps e.g. hundreds of single-table views
-                    // from composing with each other quadratically.
-                    let remainder_tables: BTreeSet<Ident> = self
-                        .db
-                        .catalog()
-                        .all_inclusions()
-                        .into_iter()
-                        .filter(|d| visible.contains(&d.name))
-                        .map(|d| d.dst_table)
-                        .collect();
-                    let fits_budget = |composed: &SpjBlock| -> bool {
-                        let mut budget: std::collections::BTreeMap<Ident, isize> =
-                            std::collections::BTreeMap::new();
-                        for (t, _) in &qb.scans {
-                            *budget.entry(t.clone()).or_insert(0) += 1;
+                }
+                restricted_upto = snapshot;
+
+                // Pairwise composition, bounded to small blocks, in
+                // (i, j) order over the round's snapshot.
+                let snapshot = valid_blocks.len();
+                for i in 0..snapshot {
+                    for j in (i + 1).max(composed_upto)..snapshot {
+                        let (a, b) = (&valid_blocks.blocks[i].block, &valid_blocks.blocks[j].block);
+                        if a.scans.len() + b.scans.len() > 4 || valid_blocks.len() > 512 {
+                            continue;
                         }
-                        for t in &remainder_tables {
-                            *budget.entry(t.clone()).or_insert(0) += 1;
-                        }
-                        composed.scans.iter().all(|(t, _)| {
-                            let slot = budget.entry(t.clone()).or_insert(0);
-                            *slot -= 1;
-                            *slot >= 0
-                        })
-                    };
-                    let snapshot: Vec<ValidBlock> = valid_blocks.blocks.clone();
-                    for (i, a) in snapshot.iter().enumerate() {
-                        for b in snapshot.iter().skip(i + 1) {
-                            if a.block.scans.len() + b.block.scans.len() > 4
-                                || valid_blocks.len() > 512
-                            {
+                        let fits = composable(qb, a, b);
+                        for (x, y) in [(i, j), (j, i)] {
+                            meter.charge(PHASE, 1)?;
+                            if !fits {
                                 continue;
                             }
-                            for (x, y) in [(a, b), (b, a)] {
-                                meter.charge(PHASE, 1)?;
-                                if let Some(composed) = strengthen::compose(&x.block, &y.block) {
-                                    // Must cover the query's tables and
-                                    // stay within the multiset budget.
-                                    let covers = qb.scans.iter().all(|(t, _)| {
-                                        composed.scans.iter().any(|(ct, _)| ct == t)
-                                    });
-                                    if !covers || !fits_budget(&composed) {
-                                        continue;
-                                    }
-                                    let origin =
-                                        format!("U2 join of {} and {}", x.origin, y.origin);
-                                    let mut compose_step = None;
-                                    if !valid_blocks.contains(&composed) {
-                                        let mut s = Step::new(RuleId::U2Compose);
-                                        s.block = Some(composed.clone());
-                                        s.premises = vec![x.step, y.step];
-                                        s.note = origin.clone();
-                                        let step = builder.push(s);
-                                        compose_step = Some(step);
-                                        valid_blocks.push(composed.clone(), origin.clone(), step);
-                                        changed = true;
-                                    }
-                                    if let Some(restricted) =
-                                        strengthen::restrict_by_query(qb, &composed)
-                                    {
-                                        if !valid_blocks.contains(&restricted) {
-                                            // Premise: the composition we just
-                                            // recorded, or the identical block
-                                            // already in the set.
-                                            let premise = match compose_step {
-                                                Some(s) => s,
-                                                None => valid_blocks
-                                                    .step_of(&composed)
-                                                    .unwrap_or(x.step),
-                                            };
-                                            let origin = format!("σ-restriction of {origin}");
-                                            let mut s = Step::new(RuleId::U2Restrict);
-                                            s.block = Some(restricted.clone());
-                                            s.premises = vec![premise];
-                                            s.note = origin.clone();
-                                            let step = builder.push(s);
-                                            valid_blocks.push(restricted, origin, step);
-                                            changed = true;
-                                        }
-                                    }
+                            let (x, y) = (&valid_blocks.blocks[x], &valid_blocks.blocks[y]);
+                            let Some(composed) = strengthen::compose(&x.block, &y.block) else {
+                                continue;
+                            };
+                            let origin = format!("U2 join of {} and {}", x.origin, y.origin);
+                            let (x_step, y_step) = (x.step, y.step);
+                            let mut compose_step = None;
+                            if !valid_blocks.contains(&composed) {
+                                let mut s = Step::new(RuleId::U2Compose);
+                                s.block = Some(composed.clone());
+                                s.premises = vec![x_step, y_step];
+                                s.note = origin.clone();
+                                let step = builder.push(s);
+                                compose_step = Some(step);
+                                valid_blocks.push(composed.clone(), origin.clone(), step);
+                                changed = true;
+                            }
+                            if let Some(restricted) = strengthen::restrict_by_query(qb, &composed) {
+                                if !valid_blocks.contains(&restricted) {
+                                    // Premise: the composition we just
+                                    // recorded, or the identical block
+                                    // already in the set.
+                                    let premise = match compose_step {
+                                        Some(s) => s,
+                                        None => valid_blocks.step_of(&composed).unwrap_or(x_step),
+                                    };
+                                    let origin = format!("σ-restriction of {origin}");
+                                    let mut s = Step::new(RuleId::U2Restrict);
+                                    s.block = Some(restricted.clone());
+                                    s.premises = vec![premise];
+                                    s.note = origin.clone();
+                                    let step = builder.push(s);
+                                    valid_blocks.push(restricted, origin, step);
+                                    changed = true;
                                 }
                             }
                         }
                     }
                 }
+                composed_upto = snapshot;
             }
 
-            // U3 derivations from every known-valid block.
+            // U3 derivations from every known-valid block. These stay
+            // naive: a U3c multiplicity witness is checked against the
+            // growing marking and block set, so an old block's witness
+            // can become provable in a later round.
             if self.options.enable_u3 {
-                let snapshot: Vec<ValidBlock> = valid_blocks.blocks.clone();
-                for vb in &snapshot {
-                    for d in u3::derive_metered(self.db.catalog(), &visible, &vb.block, &meter)? {
+                let snapshot = valid_blocks.len();
+                for i in 0..snapshot {
+                    let derived = u3::derive_metered(
+                        self.db.catalog(),
+                        &visible,
+                        &valid_blocks.blocks[i].block,
+                        &meter,
+                    )?;
+                    if derived.is_empty() {
+                        continue;
+                    }
+                    let vb_step = valid_blocks.blocks[i].step;
+                    let vb_origin = valid_blocks.blocks[i].origin.clone();
+                    for d in derived {
                         if !valid_blocks.contains(&d.core) {
                             let origin = format!(
                                 "U3a/U3b on {} with constraint {} (remainder {})",
-                                vb.origin, d.constraint, d.remainder_table
+                                vb_origin, d.constraint, d.remainder_table
                             );
                             let mut s = Step::new(RuleId::U3a);
                             s.block = Some(d.core.clone());
-                            s.premises = vec![vb.step];
+                            s.premises = vec![vb_step];
                             s.constraint = Some(d.constraint.clone());
                             s.obligations = d.obligations.clone();
                             s.note = origin.clone();
@@ -684,7 +720,7 @@ impl<'a> Validator<'a> {
                             builder.note_class(&dag, class, step);
                             rules.push(format!(
                                 "U3a: SELECT DISTINCT core of {} valid via constraint {}",
-                                vb.origin, d.constraint
+                                vb_origin, d.constraint
                             ));
                             changed = true;
                         }
@@ -701,10 +737,10 @@ impl<'a> Validator<'a> {
                                 let mut non_distinct = d.core.clone();
                                 non_distinct.distinct = false;
                                 if !valid_blocks.contains(&non_distinct) {
-                                    let origin = format!("U3c on {}", vb.origin);
+                                    let origin = format!("U3c on {}", vb_origin);
                                     let mut s = Step::new(RuleId::U3c);
                                     s.block = Some(non_distinct.clone());
-                                    s.premises = vec![vb.step, wstep];
+                                    s.premises = vec![vb_step, wstep];
                                     s.constraint = Some(d.constraint.clone());
                                     s.obligations = d.obligations.clone();
                                     s.note = origin.clone();
@@ -716,7 +752,7 @@ impl<'a> Validator<'a> {
                                     rules.push(format!(
                                         "U3c: multiplicity of core of {} reconstructible \
                                          (q_rj valid); DISTINCT dropped",
-                                        vb.origin
+                                        vb_origin
                                     ));
                                     changed = true;
                                 }
@@ -775,7 +811,7 @@ impl<'a> Validator<'a> {
                 let cert = self.certificate(
                     session,
                     CertVerdict::Unconditional,
-                    &query_tables,
+                    query_tables,
                     &qblock,
                     builder,
                 );
@@ -833,7 +869,7 @@ impl<'a> Validator<'a> {
                     let cert = self.certificate(
                         session,
                         CertVerdict::Unconditional,
-                        &query_tables,
+                        query_tables,
                         &qblock,
                         builder,
                     );
@@ -923,7 +959,7 @@ impl<'a> Validator<'a> {
                         let cert = self.certificate(
                             session,
                             CertVerdict::Conditional,
-                            &query_tables,
+                            query_tables,
                             &qblock,
                             builder,
                         );
@@ -1000,7 +1036,7 @@ impl<'a> Validator<'a> {
         &self,
         session: &Session,
         verdict: CertVerdict,
-        query_tables: &BTreeSet<Ident>,
+        query_tables: BTreeSet<Ident>,
         qblock: &Option<SpjBlock>,
         builder: CertBuilder,
     ) -> Option<Certificate> {
@@ -1016,7 +1052,7 @@ impl<'a> Validator<'a> {
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.clone()))
                 .collect(),
-            query_tables: query_tables.iter().cloned().collect(),
+            query_tables: query_tables.into_iter().collect(),
             query: qblock.clone(),
             steps: builder.take(),
         })

@@ -94,6 +94,9 @@ pub struct Dag {
     index: HashMap<(Operator, Vec<EqId>), OpId>,
     /// Classes whose parents must be re-canonicalized.
     dirty: Vec<EqId>,
+    /// Structural changes so far: operation nodes created plus class
+    /// merges (direct or by congruence).
+    changes: u64,
 }
 
 impl Dag {
@@ -130,6 +133,19 @@ impl Dag {
             eq_nodes,
             op_nodes: self.ops.len(),
         }
+    }
+
+    /// Number of operation nodes, without the class count `stats` walks
+    /// the union-find for.
+    pub fn op_count(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// Monotonic count of the DAG's structural changes: every new
+    /// operation node and every class merge bumps it. A rule application
+    /// changed the DAG iff this moved across it.
+    pub fn changes(&self) -> u64 {
+        self.changes
     }
 
     /// The operation nodes of an equivalence class.
@@ -207,6 +223,7 @@ impl Dag {
             Entry::Vacant(v) => {
                 let op_id = OpId(self.ops.len() as u32);
                 v.insert(op_id);
+                self.changes += 1;
                 let child_arities: Vec<usize> = children
                     .iter()
                     .map(|&c| self.eqs[c.0 as usize].arity)
@@ -251,6 +268,7 @@ impl Dag {
         );
         // Union: b -> a.
         self.uf[b.0 as usize] = a.0;
+        self.changes += 1;
         let b_data = std::mem::take(&mut self.eqs[b.0 as usize]);
         for &op in &b_data.ops {
             self.ops[op.0 as usize].class = a;
@@ -288,6 +306,7 @@ impl Dag {
                             if ca != cb {
                                 let (ca, cb) = (self.find_compress(ca), self.find_compress(cb));
                                 self.uf[cb.0 as usize] = ca.0;
+                                self.changes += 1;
                                 let b_data = std::mem::take(&mut self.eqs[cb.0 as usize]);
                                 for &op in &b_data.ops {
                                     self.ops[op.0 as usize].class = ca;

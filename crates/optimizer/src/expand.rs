@@ -3,6 +3,7 @@
 
 use crate::dag::{Dag, DagStats, OpId};
 use crate::rules;
+use std::collections::HashSet;
 
 /// Expansion controls.
 #[derive(Debug, Clone, Copy)]
@@ -29,15 +30,22 @@ impl Default for ExpandOptions {
 }
 
 /// Expands the DAG to a fixpoint (or until budget). Returns final stats.
+///
+/// Every rule reports only the applications that changed the DAG, so a
+/// pass reporting none has reached the fixpoint: the rules are
+/// deterministic functions of the DAG, and a further pass would see the
+/// same DAG again. `max_passes` only caps expansions that have not
+/// converged by then.
 pub fn expand(dag: &mut Dag, opts: &ExpandOptions) -> DagStats {
+    // Selection pairs already settled in an earlier pass of this call.
+    let mut decided = HashSet::new();
     for _pass in 0..opts.max_passes {
         let mut changed = 0;
-        let op_count_before = dag.stats().op_nodes;
 
         // Structural rules over a snapshot of current ops.
         let ops: Vec<OpId> = dag.all_ops().collect();
         for op in ops {
-            if dag.stats().op_nodes >= opts.max_ops {
+            if dag.op_count() >= opts.max_ops {
                 return dag.stats();
             }
             changed += rules::apply_structural(dag, op);
@@ -47,19 +55,19 @@ pub fn expand(dag: &mut Dag, opts: &ExpandOptions) -> DagStats {
         if opts.subsumption {
             let classes = dag.classes();
             for class in classes {
-                if dag.stats().op_nodes >= opts.max_ops {
+                if dag.op_count() >= opts.max_ops {
                     return dag.stats();
                 }
                 // The class may have been merged away during this loop.
                 if dag.find(class) != class {
                     continue;
                 }
-                changed += rules::selection_subsumption(dag, class);
+                changed += rules::selection_subsumption(dag, class, &mut decided);
                 changed += rules::aggregate_rollup(dag, class);
             }
         }
 
-        if changed == 0 && dag.stats().op_nodes == op_count_before {
+        if changed == 0 {
             break;
         }
     }
@@ -142,6 +150,46 @@ mod tests {
         let s1 = expand(&mut dag, &ExpandOptions::default());
         let s2 = expand(&mut dag, &ExpandOptions::default());
         assert_eq!(s1, s2);
+    }
+
+    /// The rule contract `expand` relies on: at the fixpoint, every rule
+    /// reports 0 and leaves the DAG as it is. A rule that reports an
+    /// attempted (rather than changing) application keeps `expand`
+    /// running to `max_passes`.
+    #[test]
+    fn rules_report_no_change_at_the_fixpoint() {
+        let mut dag = Dag::new();
+        // σ_{x=5}(A) ⋈ B next to the weaker σ_{x>0}(A): a join plus two
+        // comparable selections over the same class.
+        let strong = scan("a").select(vec![ScalarExpr::eq(ScalarExpr::col(0), ScalarExpr::lit(5))]);
+        let weak = scan("a").select(vec![ScalarExpr::cmp(
+            fgac_algebra::CmpOp::Gt,
+            ScalarExpr::col(0),
+            ScalarExpr::lit(0),
+        )]);
+        dag.insert_plan(&strong.join(
+            scan("b"),
+            vec![ScalarExpr::eq(ScalarExpr::col(1), ScalarExpr::col(2))],
+        ));
+        dag.insert_plan(&weak);
+        let stats = expand(&mut dag, &ExpandOptions::default());
+        assert!(dag
+            .all_ops()
+            .any(|op| matches!(dag.op(op).op, Operator::Join { .. })));
+
+        let ops: Vec<OpId> = dag.all_ops().collect();
+        for op in ops {
+            assert_eq!(rules::apply_structural(&mut dag, op), 0, "{:?}", dag.op(op));
+            assert_eq!(dag.stats(), stats);
+        }
+        for class in dag.classes() {
+            assert_eq!(
+                rules::selection_subsumption(&mut dag, class, &mut HashSet::new()),
+                0
+            );
+            assert_eq!(rules::aggregate_rollup(&mut dag, class), 0);
+            assert_eq!(dag.stats(), stats);
+        }
     }
 
     #[test]

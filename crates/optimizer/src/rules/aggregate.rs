@@ -40,6 +40,7 @@ pub fn agg_select_commute(dag: &mut Dag, op_id: OpId) -> usize {
                 })
             })
             .collect();
+        let before = dag.changes();
         let selected = dag.add_op(
             Operator::Select {
                 conjuncts: normalize_conjuncts(&pushed),
@@ -55,7 +56,7 @@ pub fn agg_select_commute(dag: &mut Dag, op_id: OpId) -> usize {
             vec![selected],
             Some(class),
         );
-        added += 1;
+        added += (dag.changes() != before) as usize;
     }
     added
 }
@@ -124,6 +125,7 @@ pub fn global_agg_to_grouped(dag: &mut Dag, op_id: OpId) -> usize {
         keys.dedup_by_key(|(i, _)| *i);
 
         // Grouped aggregate keyed on the instantiated columns.
+        let before = dag.changes();
         let grouped = dag.add_op(
             Operator::Aggregate {
                 group_by: keys.iter().map(|(i, _)| ScalarExpr::Col(*i)).collect(),
@@ -150,7 +152,7 @@ pub fn global_agg_to_grouped(dag: &mut Dag, op_id: OpId) -> usize {
             .map(|j| ScalarExpr::Col(keys.len() + j))
             .collect();
         dag.add_op(Operator::Project { exprs: proj }, vec![selected], Some(class));
-        added += 1;
+        added += (dag.changes() != before) as usize;
     }
     added
 }

@@ -16,6 +16,7 @@ pub fn join_commute(dag: &mut Dag, op_id: OpId) -> bool {
     let class = dag.class_of(op_id);
     let (l, r) = (node.children[0], node.children[1]);
     let (la, ra) = (dag.arity(l), dag.arity(r));
+    let before = dag.changes();
 
     // Remap: left cols shift right by ra, right cols shift left by la.
     let remapped: Vec<ScalarExpr> = conjuncts
@@ -35,7 +36,7 @@ pub fn join_commute(dag: &mut Dag, op_id: OpId) -> bool {
         .chain((0..ra).map(ScalarExpr::Col))
         .collect();
     dag.add_op(Operator::Project { exprs: perm }, vec![swapped], Some(class));
-    true
+    dag.changes() != before
 }
 
 /// Join associativity: `(A ⋈ B) ⋈ C  ≡  A ⋈ (B ⋈ C)`.
@@ -45,7 +46,7 @@ pub fn join_commute(dag: &mut Dag, op_id: OpId) -> bool {
 /// conjuncts changes: a conjunct goes to the inner `(B ⋈ C)` join iff it
 /// references no `A` column.
 ///
-/// Returns the number of alternatives added.
+/// Returns the number of regroupings that changed the DAG.
 pub fn join_associate(dag: &mut Dag, op_id: OpId) -> usize {
     let node = dag.op(op_id).clone();
     let Operator::Join { conjuncts: top } = &node.op else {
@@ -85,6 +86,7 @@ pub fn join_associate(dag: &mut Dag, op_id: OpId) -> usize {
             }
         }
 
+        let before = dag.changes();
         let bc = dag.add_op(
             Operator::Join {
                 conjuncts: normalize_conjuncts(&inner_conj),
@@ -99,7 +101,7 @@ pub fn join_associate(dag: &mut Dag, op_id: OpId) -> usize {
             vec![a_class, bc],
             Some(class),
         );
-        added += 1;
+        added += (dag.changes() != before) as usize;
     }
     added
 }
@@ -133,9 +135,9 @@ mod tests {
         assert!(join_commute(&mut dag, join_op));
         // Class now has 2 members: the join and the projected swap.
         assert_eq!(dag.ops_of(root).len(), 2);
-        // Double application is a no-op thanks to hash-consing.
+        // Double application is a no-op thanks to hash-consing, and says so.
         let before = dag.stats();
-        join_commute(&mut dag, join_op);
+        assert!(!join_commute(&mut dag, join_op));
         assert_eq!(dag.stats(), before);
     }
 

@@ -11,6 +11,11 @@
 //! rules that reorder inputs remap offsets explicitly (join commutativity
 //! wraps the swapped join in a permutation projection to preserve output
 //! column order).
+//!
+//! Every rule reports how many of its applications *changed* the DAG —
+//! created an operation node or merged two classes, as measured by
+//! [`Dag::changes`]. Re-applying a rule at a fixpoint reports 0; that is
+//! what lets [`crate::expand`] stop there.
 
 mod aggregate;
 mod join;
@@ -27,7 +32,7 @@ pub use subsume::{aggregate_rollup, selection_subsumption};
 use crate::dag::{Dag, OpId};
 
 /// Applies every structural (per-operation) rule to `op`. Returns how
-/// many rule applications were attempted that changed the DAG.
+/// many rule applications changed the DAG.
 pub fn apply_structural(dag: &mut Dag, op: OpId) -> usize {
     let mut changed = 0;
     changed += join_commute(dag, op) as usize;

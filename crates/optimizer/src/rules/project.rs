@@ -47,6 +47,7 @@ pub fn project_select_transpose(dag: &mut Dag, op_id: OpId) -> usize {
         if !ok {
             continue;
         }
+        let before = dag.changes();
         let projected = dag.add_op(
             Operator::Project {
                 exprs: exprs.clone(),
@@ -61,7 +62,7 @@ pub fn project_select_transpose(dag: &mut Dag, op_id: OpId) -> usize {
             vec![projected],
             Some(class),
         );
-        added += 1;
+        added += (dag.changes() != before) as usize;
     }
     added
 }
@@ -86,6 +87,7 @@ pub fn select_project_transpose(dag: &mut Dag, op_id: OpId) -> usize {
         let below = inner.children[0];
         let pushed: Vec<ScalarExpr> =
             conjuncts.iter().map(|c| substitute_cols(c, exprs)).collect();
+        let before = dag.changes();
         let selected = dag.add_op(
             Operator::Select {
                 conjuncts: normalize_conjuncts(&pushed),
@@ -100,7 +102,7 @@ pub fn select_project_transpose(dag: &mut Dag, op_id: OpId) -> usize {
             vec![selected],
             Some(class),
         );
-        added += 1;
+        added += (dag.changes() != before) as usize;
     }
     added
 }

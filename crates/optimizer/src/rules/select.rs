@@ -8,7 +8,7 @@ use fgac_algebra::normalize_conjuncts;
 /// conjuncts referencing only `A` (resp. `B`) move below the join;
 /// cross-side conjuncts merge into the join predicate.
 ///
-/// Returns the number of alternatives added.
+/// Returns the number of pushdowns that changed the DAG.
 pub fn select_push_into_join(dag: &mut Dag, op_id: OpId) -> usize {
     let node = dag.op(op_id).clone();
     let Operator::Select { conjuncts } = &node.op else {
@@ -41,6 +41,7 @@ pub fn select_push_into_join(dag: &mut Dag, op_id: OpId) -> usize {
             }
         }
 
+        let before = dag.changes();
         let new_a = if a_only.is_empty() {
             a_class
         } else {
@@ -70,7 +71,7 @@ pub fn select_push_into_join(dag: &mut Dag, op_id: OpId) -> usize {
             vec![new_a, new_b],
             Some(class),
         );
-        added += 1;
+        added += (dag.changes() != before) as usize;
     }
     added
 }

@@ -5,6 +5,7 @@
 use crate::dag::{Dag, EqId, OpId, Operator};
 use fgac_algebra::implication::implies;
 use fgac_algebra::{AggExpr, AggFunc, ScalarExpr};
+use std::collections::HashSet;
 
 /// Selection subsumption: if `σ_p(E)` and `σ_q(E)` both exist over the
 /// same class `E` and `p ⟹ q`, then `σ_p(E) = σ_p(σ_q(E))`, so the class
@@ -13,50 +14,59 @@ use fgac_algebra::{AggExpr, AggFunc, ScalarExpr};
 /// This is what lets a query's *stronger* selection be answered from an
 /// authorization view's *weaker* one.
 ///
-/// Returns the number of derivations added for the given class.
-pub fn selection_subsumption(dag: &mut Dag, class: EqId) -> usize {
+/// `decided` holds the `(σ_p, σ_q)` operation pairs already settled by
+/// an earlier call on the same DAG; they are skipped. That is exact:
+/// an operation's predicate never changes, and once `σ_p(σ_q(E))` is in
+/// `σ_p(E)`'s class, hash-consing keeps it there through any later
+/// merge, so re-deriving it would be a no-op.
+///
+/// Returns the number of derivations that changed the DAG.
+pub fn selection_subsumption(
+    dag: &mut Dag,
+    class: EqId,
+    decided: &mut HashSet<(OpId, OpId)>,
+) -> usize {
     let arity = dag.arity(class);
-    // Collect the distinct Select parents of this class.
-    let mut selects: Vec<(OpId, Vec<ScalarExpr>)> = Vec::new();
-    for &p in dag.parents_of(class) {
-        let node = dag.op(p);
-        if dag.find(node.children[0]) != dag.find(class) {
-            continue; // parent via a different child slot
-        }
-        if let Operator::Select { conjuncts } = &node.op {
-            selects.push((p, conjuncts.clone()));
-        }
-    }
+    let canon = dag.find(class);
+    // The distinct Select parents of this class.
+    let selects: Vec<OpId> = dag
+        .parents_of(class)
+        .iter()
+        .copied()
+        .filter(|&p| {
+            let node = dag.op(p);
+            // Skip parents via a different child slot.
+            dag.find(node.children[0]) == canon && matches!(node.op, Operator::Select { .. })
+        })
+        .collect();
     let mut added = 0;
-    for i in 0..selects.len() {
-        for j in 0..selects.len() {
-            if i == j {
+    for &p_op in &selects {
+        for &q_op in &selects {
+            if p_op == q_op || !decided.insert((p_op, q_op)) {
                 continue;
             }
-            let (p_op, p) = &selects[i];
-            let (q_op, q) = &selects[j];
-            if p == q {
+            let (Operator::Select { conjuncts: p }, Operator::Select { conjuncts: q }) =
+                (&dag.op(p_op).op, &dag.op(q_op).op)
+            else {
+                continue;
+            };
+            if p == q || !implies(p, q, arity) {
                 continue;
             }
-            if implies(p, q, arity) {
-                // σ_p(E) can be computed as σ_p over σ_q(E).
-                let p_class = dag.class_of(*p_op);
-                let q_class = dag.class_of(*q_op);
-                if p_class == q_class {
-                    continue;
-                }
-                let before = dag.stats();
-                dag.add_op(
-                    Operator::Select {
-                        conjuncts: p.clone(),
-                    },
-                    vec![q_class],
-                    Some(p_class),
-                );
-                if dag.stats() != before {
-                    added += 1;
-                }
+            // σ_p(E) can be computed as σ_p over σ_q(E).
+            let p_class = dag.class_of(p_op);
+            let q_class = dag.class_of(q_op);
+            if p_class == q_class {
+                continue;
             }
+            let p = p.clone();
+            let before = dag.changes();
+            dag.add_op(
+                Operator::Select { conjuncts: p },
+                vec![q_class],
+                Some(p_class),
+            );
+            added += (dag.changes() != before) as usize;
         }
     }
     added
@@ -136,7 +146,7 @@ pub fn aggregate_rollup(dag: &mut Dag, class: EqId) -> usize {
             }
             let coarse_class = dag.class_of(*coarse_op);
             let fine_class = dag.class_of(*fine_op);
-            let before = dag.stats();
+            let before = dag.changes();
             dag.add_op(
                 Operator::Aggregate {
                     group_by: key_cols,
@@ -145,9 +155,7 @@ pub fn aggregate_rollup(dag: &mut Dag, class: EqId) -> usize {
                 vec![fine_class],
                 Some(coarse_class),
             );
-            if dag.stats() != before {
-                added += 1;
-            }
+            added += (dag.changes() != before) as usize;
         }
     }
     added
@@ -183,7 +191,7 @@ mod tests {
             ScalarExpr::col(0),
             ScalarExpr::lit(0),
         )]));
-        let n = selection_subsumption(&mut dag, base);
+        let n = selection_subsumption(&mut dag, base, &mut HashSet::new());
         assert_eq!(n, 1);
         // The strong class gained a member whose child is the weak class.
         let derived = dag.ops_of(strong).iter().any(|&o| {
@@ -206,7 +214,7 @@ mod tests {
             ScalarExpr::col(1),
             ScalarExpr::lit(7),
         )]));
-        assert_eq!(selection_subsumption(&mut dag, base), 0);
+        assert_eq!(selection_subsumption(&mut dag, base, &mut HashSet::new()), 0);
     }
 
     #[test]

@@ -76,66 +76,40 @@ impl Marking {
         self.valid.is_empty()
     }
 
-    /// The indices (into the `mark_valid` root list) of the roots the
-    /// validity of `class` transitively rests on, sorted and deduped.
-    /// Empty when the class is not valid or its provenance reaches only
-    /// direct (non-root) marks.
-    pub fn supporting_roots(&self, dag: &Dag, class: EqId) -> Vec<usize> {
+    /// What the validity of `class` transitively rests on, in one walk
+    /// of the provenance: the indices (into the `mark_valid` root list)
+    /// of the roots it reaches, and the directly-marked (non-root)
+    /// classes — the U3/C3-derived marks, whose justification lives
+    /// outside the DAG propagation. Both sorted and deduped; both empty
+    /// when the class is not valid.
+    pub fn support(&self, dag: &Dag, class: EqId) -> (Vec<usize>, Vec<EqId>) {
         let start = dag.find(class);
+        let (mut roots, mut marks) = (Vec::new(), Vec::new());
         if !self.valid.contains(&start) {
-            return Vec::new();
+            return (roots, marks);
         }
         let mut seen: HashSet<EqId> = HashSet::new();
         let mut stack = vec![start];
-        let mut roots = Vec::new();
         while let Some(c) = stack.pop() {
             if !seen.insert(c) {
                 continue;
             }
             match self.why.get(&c) {
                 Some(Why::Root(i)) => roots.push(*i),
-                Some(Why::Op(children)) => {
-                    for &ch in children {
-                        stack.push(dag.find(ch));
-                    }
-                }
-                Some(Why::Direct) | None => {}
-            }
-        }
-        roots.sort_unstable();
-        roots.dedup();
-        roots
-    }
-
-    /// The directly-marked (non-root) classes the validity of `class`
-    /// transitively rests on — the U3/C3-derived marks, whose
-    /// justification lives outside the DAG propagation. Sorted and
-    /// deduped; empty when the class is invalid.
-    pub fn supporting_marks(&self, dag: &Dag, class: EqId) -> Vec<EqId> {
-        let start = dag.find(class);
-        if !self.valid.contains(&start) {
-            return Vec::new();
-        }
-        let mut seen: HashSet<EqId> = HashSet::new();
-        let mut stack = vec![start];
-        let mut marks = Vec::new();
-        while let Some(c) = stack.pop() {
-            if !seen.insert(c) {
-                continue;
-            }
-            match self.why.get(&c) {
                 Some(Why::Direct) => marks.push(c),
                 Some(Why::Op(children)) => {
                     for &ch in children {
                         stack.push(dag.find(ch));
                     }
                 }
-                Some(Why::Root(_)) | None => {}
+                None => {}
             }
         }
+        roots.sort_unstable();
+        roots.dedup();
         marks.sort_unstable();
         marks.dedup();
-        marks
+        (roots, marks)
     }
 
     /// Re-canonicalizes the marking after DAG mutations and re-runs the
@@ -331,10 +305,10 @@ mod tests {
         let r3 = dag.insert_plan(&unrelated);
         let marking = mark_valid(&dag, &[r1, r2, r3]);
         assert!(marking.is_valid(&dag, q));
-        assert_eq!(marking.supporting_roots(&dag, q), vec![0, 1]);
-        // An invalid class has no supporting roots.
+        assert_eq!(marking.support(&dag, q), (vec![0, 1], vec![]));
+        // An invalid class has no support.
         let lone = dag.insert_plan(&grades());
-        assert_eq!(marking.supporting_roots(&dag, lone), Vec::<usize>::new());
+        assert_eq!(marking.support(&dag, lone), (vec![], vec![]));
     }
 
     #[test]
