@@ -12,9 +12,9 @@
 //!   is rolled back and the statement fails as a whole.
 //! * **DML** — physical [`fgac_storage::TableDelta`]s recorded by the
 //!   storage layer, logged after the statement succeeds. If the append
-//!   fails, the pre-statement table snapshot is restored. A record is
-//!   written even when zero rows changed, so replay reproduces the data
-//!   version exactly.
+//!   fails, the statement is rolled back through its undo journal. A
+//!   record is written even when zero rows changed, so replay
+//!   reproduces the data version exactly.
 //! * **Policy operations** (grants, revocations, roles, delegation,
 //!   constraint visibility) — log-then-apply: the in-memory application
 //!   is infallible, so nothing needs undoing and the grant tables never
@@ -38,10 +38,11 @@
 //! fsync: set [`DurabilityOptions::sync_on_commit`], or call
 //! [`Engine::sync`] / [`Engine::close`] at a boundary you choose.
 
-use crate::engine::Engine;
+use crate::engine::{panicked, Engine};
+use crate::grants::Grants;
 use crate::invalidation::PolicyDelta;
 use fgac_sql::Statement;
-use fgac_storage::TableSnapshot;
+use fgac_storage::Database;
 use fgac_types::{Error, Ident, Result};
 use fgac_wal::{GrantsState, SnapshotState, TableState, WalRecord, WalStore};
 use std::path::Path;
@@ -233,32 +234,43 @@ impl Engine {
         Ok(())
     }
 
-    /// Commits a successful DML statement: logs the recorded deltas and
-    /// bumps the data version. On WAL failure the pre-statement snapshot
-    /// is restored and the statement fails — the database never runs
-    /// ahead of the log.
-    pub(crate) fn commit_dml(&mut self, undo: Option<TableSnapshot>) -> Result<()> {
-        if self.durability.is_some() {
-            let deltas = self.db.take_deltas();
-            if let Err(e) = self.log_commit(WalRecord::Dml { deltas }) {
-                if let Some(snap) = undo {
-                    // The table existed when the snapshot was taken and
-                    // DDL is admin-only, so this cannot fail.
-                    let _ = self.db.restore_table(snap);
-                }
-                return Err(e);
-            }
+    /// The one DML statement path, shared by the writer and the admin
+    /// DML and load paths: opens the statement journal, runs `apply`
+    /// on the rows, and commits — logs the recorded deltas (durable
+    /// engines) and bumps the data version. Every other ending rolls
+    /// each row change back through the journal and fails the
+    /// statement: an error from `apply`, a panic inside it (which
+    /// becomes [`Error::Internal`]; the engine stays usable), or a
+    /// failed WAL append. The database never runs ahead of the log.
+    pub(crate) fn run_statement<T>(
+        &mut self,
+        apply: impl FnOnce(&mut Database, &Grants) -> Result<T>,
+    ) -> Result<T> {
+        self.db.begin_statement();
+        let start = self.db.savepoint();
+        let (db, grants) = (&mut self.db, &self.grants);
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| apply(db, grants)))
+            .unwrap_or_else(|payload| Err(panicked(payload)))
+            .and_then(|value| self.log_deltas().map(|()| value));
+        match out {
+            Ok(_) => self.bump(),
+            Err(_) => self.db.rollback_to(start),
         }
-        self.bump();
-        self.maybe_snapshot();
-        Ok(())
+        self.db.end_statement();
+        if out.is_ok() {
+            self.maybe_snapshot();
+        }
+        out
     }
 
-    /// Drops deltas recorded by a statement that failed or rolled back.
-    pub(crate) fn discard_deltas(&mut self) {
-        if self.durability.is_some() {
-            let _ = self.db.take_deltas();
+    /// Logs the deltas the open statement recorded. A no-op for
+    /// in-memory engines, which record none.
+    fn log_deltas(&mut self) -> Result<()> {
+        if self.durability.is_none() {
+            return Ok(());
         }
+        let deltas = self.db.take_deltas();
+        self.log_commit(WalRecord::Dml { deltas })
     }
 
     /// Installs a snapshot when the log has grown past the configured

@@ -72,11 +72,8 @@ pub(crate) enum Admitted<'s> {
         flow: bool,
         principal: Option<String>,
     },
-    /// DML for the writer, with the table it targets.
-    Write {
-        table: Ident,
-        stmt: Cow<'s, Statement>,
-    },
+    /// DML for the writer.
+    Write(Cow<'s, Statement>),
 }
 
 /// The user path's parser: any statement.
@@ -248,14 +245,14 @@ impl Engine {
             Statement::CreateTable(_)
             | Statement::CreateView(_)
             | Statement::CreateInclusionDependency(_) => self.apply_ddl_logged(stmt),
-            Statement::Insert(i) => self.admin_dml(&i.table, |db| {
-                fgac_exec::execute_insert(db, i, &fgac_algebra::ParamScope::new()).map(|_| ())
+            Statement::Insert(i) => self.admin_dml(|db| {
+                fgac_exec::execute_insert(db, i, &fgac_algebra::ParamScope::new())
             }),
-            Statement::Update(u) => self.admin_dml(&u.table, |db| {
-                fgac_exec::execute_update(db, u, &fgac_algebra::ParamScope::new()).map(|_| ())
+            Statement::Update(u) => self.admin_dml(|db| {
+                fgac_exec::execute_update(db, u, &fgac_algebra::ParamScope::new())
             }),
-            Statement::Delete(d) => self.admin_dml(&d.table, |db| {
-                fgac_exec::execute_delete(db, d, &fgac_algebra::ParamScope::new()).map(|_| ())
+            Statement::Delete(d) => self.admin_dml(|db| {
+                fgac_exec::execute_delete(db, d, &fgac_algebra::ParamScope::new())
             }),
             Statement::Authorize(_) => Err(Error::Unsupported(
                 "AUTHORIZE statements are granted to principals: use grant_update_sql".into(),
@@ -386,46 +383,29 @@ impl Engine {
         Ok(())
     }
 
-    /// Admin DML commit protocol: execute against the database, then
-    /// commit the recorded deltas ([`Engine::commit_dml`]). On failure
-    /// the target table is restored and the deltas are dropped.
-    fn admin_dml(&mut self, table: &Ident, f: impl FnOnce(&mut Database) -> Result<()>) -> Result<()> {
-        let undo = self.db.snapshot_table(table).ok();
-        match f(&mut self.db) {
-            Ok(()) => self.commit_dml(undo),
-            Err(e) => {
-                self.discard_deltas();
-                Err(e)
-            }
-        }
+    /// Admin DML: one unchecked statement through the shared statement
+    /// path ([`Engine::run_statement`]) — committed, or rolled back
+    /// whole.
+    fn admin_dml(
+        &mut self,
+        f: impl FnOnce(&mut Database) -> Result<fgac_exec::DmlOutcome>,
+    ) -> Result<()> {
+        self.run_statement(|db, _| f(db)).map(|_| ())
     }
 
     /// Direct (unchecked) row insertion for loaders/benches.
     pub fn admin_insert(&mut self, table: &Ident, row: Row) -> Result<()> {
         self.ensure_open()?;
-        self.admin_dml(table, |db| db.insert(table, row))
+        self.run_statement(|db, _| db.insert(table, row))
     }
 
     /// Bulk load without per-row constraint checks; the table's indexes
     /// skip the appends and are sorted once, by the first lookup.
-    /// Atomic: a failure mid-load restores the table to its pre-load
+    /// Atomic: a failure mid-load rolls the table back to its pre-load
     /// rows.
     pub fn admin_load(&mut self, table: &Ident, rows: Vec<Row>) -> Result<usize> {
         self.ensure_open()?;
-        let undo = self.db.snapshot_table(table).ok();
-        match self.db.load_unchecked(table, rows) {
-            Ok(n) => {
-                self.commit_dml(undo)?;
-                Ok(n)
-            }
-            Err(e) => {
-                self.discard_deltas();
-                if let Some(snap) = undo {
-                    let _ = self.db.restore_table(snap);
-                }
-                Err(e)
-            }
-        }
+        self.run_statement(|db, _| db.load_unchecked(table, rows))
     }
 
     /// Grants an authorization view to a principal. Log-then-apply: on a
@@ -605,11 +585,8 @@ impl Engine {
                 flow: true,
                 principal: a.principal.clone(),
             }),
-            Statement::Insert(sql::Insert { table, .. })
-            | Statement::Update(sql::Update { table, .. })
-            | Statement::Delete(sql::Delete { table, .. }) => {
-                let table = table.clone();
-                Ok(Admitted::Write { table, stmt })
+            Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_) => {
+                Ok(Admitted::Write(stmt))
             }
             _ => Err(Error::Unauthorized(
                 "DDL requires the admin interface".into(),
@@ -648,7 +625,7 @@ impl Engine {
         deadline: Option<Instant>,
     ) -> Result<EngineResponse> {
         match admitted {
-            Admitted::Write { table, stmt } => self.run_write(session, &table, &stmt, deadline),
+            Admitted::Write(stmt) => self.run_write(session, &stmt, deadline),
             read => self.run_read(session, read, deadline),
         }
     }
@@ -687,7 +664,7 @@ impl Engine {
             Admitted::Analyze { flow, principal } => {
                 self.analyze_session(session, flow, principal.as_deref())
             }
-            Admitted::Write { .. } => Err(Error::Internal("DML reached the read runner".into())),
+            Admitted::Write(_) => Err(Error::Internal("DML reached the read runner".into())),
         };
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
             .unwrap_or_else(|payload| Err(panicked(payload)))
@@ -695,48 +672,21 @@ impl Engine {
 
     /// The writer: the DML commit path for an admitted statement.
     /// Re-checks the closed-engine and deadline gates (the caller may
-    /// have waited for the write lock since admission), snapshots the
-    /// target table, authorizes and applies the statement per tuple,
-    /// and commits (WAL append + data-version bump).
-    ///
-    /// The write-side panic boundary: an unwind below becomes
-    /// [`Error::Internal`], the target table is restored to its
-    /// pre-statement rows, and the engine stays usable.
+    /// have waited for the write lock since admission), then authorizes
+    /// and applies the statement per tuple as one journaled statement
+    /// ([`Engine::run_statement`]): committed (WAL append + data-version
+    /// bump), or — on an error, a panic, or a failed append — rolled
+    /// back to the pre-statement rows with the engine still usable.
     pub(crate) fn run_write(
         &mut self,
         session: &Session,
-        table: &Ident,
         stmt: &Statement,
         deadline: Option<Instant>,
     ) -> Result<EngineResponse> {
         self.ensure_open()?;
         check_deadline(deadline)?;
-        let undo = self.db.snapshot_table(table).ok();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            UpdateAuthorizer::new(&self.grants).apply(&mut self.db, session, stmt)
-        }));
-        match outcome {
-            Ok(Ok(n)) => {
-                // Commit point: log the deltas (durable engines) and
-                // bump the data version. A WAL failure rolls the
-                // statement back and fails it.
-                self.commit_dml(undo)?;
-                Ok(EngineResponse::Affected(n))
-            }
-            Ok(Err(e)) => {
-                self.discard_deltas();
-                Err(e)
-            }
-            Err(payload) => {
-                self.discard_deltas();
-                if let Some(snap) = undo {
-                    // The table existed when the snapshot was taken and
-                    // DDL is admin-only, so this cannot fail.
-                    let _ = self.db.restore_table(snap);
-                }
-                Err(panicked(payload))
-            }
-        }
+        self.run_statement(|db, grants| UpdateAuthorizer::new(grants).apply(db, session, stmt))
+            .map(EngineResponse::Affected)
     }
 
     /// Session-scoped `ANALYZE POLICY|FLOW`. The analyzers' output *is*
@@ -1187,7 +1137,7 @@ fn deny_error(report: ValidityReport) -> Error {
 }
 
 /// The [`Error::Internal`] a caught panic becomes.
-fn panicked(payload: Box<dyn std::any::Any + Send>) -> Error {
+pub(crate) fn panicked(payload: Box<dyn std::any::Any + Send>) -> Error {
     let msg = if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

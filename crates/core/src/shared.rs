@@ -74,10 +74,10 @@ impl SharedEngine {
         sql: &str,
         deadline: Option<Instant>,
     ) -> Result<EngineResponse> {
-        let (table, stmt) = {
+        let stmt = {
             let engine = self.inner.read();
             match engine.admit(session, sql, parse_statement, deadline)? {
-                Admitted::Write { table, stmt } => (table, stmt),
+                Admitted::Write(stmt) => stmt,
                 read => return engine.run_read(session, read, deadline),
             }
         };
@@ -85,9 +85,7 @@ impl SharedEngine {
         // the already-parsed statement goes to the writer, which
         // re-checks the deadline — waiting for the write lock may have
         // consumed the remaining allowance.
-        self.inner
-            .write()
-            .run_write(session, &table, &stmt, deadline)
+        self.inner.write().run_write(session, &stmt, deadline)
     }
 
     /// Runs `f` under the shared read lock.

@@ -85,36 +85,27 @@ impl<'a> UpdateAuthorizer<'a> {
         stmt: &sql::Delete,
     ) -> Result<usize> {
         let conds = self.conditions(db, session, DmlAction::Delete, &stmt.table, &[])?;
-        let filter = stmt
-            .filter
-            .as_ref()
-            .map(|f| fgac_algebra::bind_table_expr(db.catalog(), &stmt.table, f, session.params()))
-            .transpose()?;
-        // Phase 1: find affected tuples and authorize each.
+        let filter =
+            fgac_exec::bind_filter(db, &stmt.table, stmt.filter.as_ref(), session.params())?;
+        // Phase 1: find affected tuples (through an index when the
+        // filter pins a key) and authorize each, in scan order.
         let table = db.table_required(&stmt.table)?;
-        let mut victims = Vec::new();
-        for (i, row) in table.rows().iter().enumerate() {
-            let hit = match &filter {
-                None => true,
-                Some(f) => fgac_exec::eval_predicate(f, row)?,
-            };
-            if !hit {
-                continue;
-            }
+        let victims = fgac_exec::deleted_positions(table, &filter, |row| {
             // DELETE has no after-image: bare columns (bound to the
             // "new" slots) and OLD() both refer to the deleted tuple.
             let env = Env {
                 old: Some(row),
                 new: Some(row),
             };
-            if !satisfies_any(&conds, &env)? {
-                return Err(Error::Unauthorized(format!(
+            if satisfies_any(&conds, &env)? {
+                Ok(())
+            } else {
+                Err(Error::Unauthorized(format!(
                     "delete from {} of tuple {row} is not authorized",
                     stmt.table
-                )));
+                )))
             }
-            victims.push(i);
-        }
+        })?;
         // Phase 2: apply by position — exact even for duplicate rows
         // (bag semantics), and nothing was touched if phase 1 failed.
         db.delete_at(&stmt.table, &victims)
@@ -133,35 +124,22 @@ impl<'a> UpdateAuthorizer<'a> {
 
         // Phase 1: compute old/new images and authorize each.
         let table = db.table_required(&stmt.table)?;
-        let mut count = 0usize;
-        for row in table.rows() {
-            let hit = match &filter {
-                None => true,
-                Some(f) => fgac_exec::eval_predicate(f, row)?,
-            };
-            if !hit {
-                continue;
-            }
-            let mut new = row.clone();
-            for (idx, e) in &assignments {
-                new.0[*idx] = fgac_exec::eval(e, row)?;
-            }
+        let updates = fgac_exec::updated_rows(table, &filter, &assignments, |old, new| {
             let env = Env {
-                old: Some(row),
-                new: Some(&new),
+                old: Some(old),
+                new: Some(new),
             };
-            if !satisfies_any(&conds, &env)? {
-                return Err(Error::Unauthorized(format!(
-                    "update of {} tuple {row} is not authorized",
+            if satisfies_any(&conds, &env)? {
+                Ok(())
+            } else {
+                Err(Error::Unauthorized(format!(
+                    "update of {} tuple {old} is not authorized",
                     stmt.table
-                )));
+                )))
             }
-            count += 1;
-        }
-        // Phase 2: apply through the engine primitive.
-        let applied = fgac_exec::update_matching(db, &stmt.table, filter.as_ref(), &assignments)?;
-        debug_assert_eq!(applied, count);
-        Ok(applied)
+        })?;
+        // Phase 2: write every authorized image at once.
+        db.apply_row_updates(&stmt.table, updates)
     }
 
     /// Collects and binds the conditions applicable to (action, table)

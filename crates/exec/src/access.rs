@@ -24,10 +24,43 @@
 //! Anything else — no pin, no index whose key starts with a pinned
 //! column, or a possibly failing conjunct before a pin — falls back to
 //! the scan.
+//!
+//! The executor's `Select` over a `Scan` takes the path through
+//! [`index_path`]; the DML victim searches (UPDATE/DELETE filters,
+//! split into their conjuncts) read through [`matching_rows`].
 
+use crate::eval::eval_predicate;
 use fgac_algebra::{CmpOp, ScalarExpr};
 use fgac_storage::Table;
-use fgac_types::{DataType, Schema, Value};
+use fgac_types::{DataType, Result, Row, Schema, Value};
+
+/// The rows of `table` on which every conjunct holds, as
+/// `(position, row)` in ascending position order: exactly what a scan
+/// yields that evaluates each row's conjuncts in list order and stops
+/// at the first that is not true — read through an index when the
+/// rules above allow. A conjunct that fails to evaluate yields its
+/// error in the row's place; callers stop at the first error.
+pub fn matching_rows<'t>(
+    table: &'t Table,
+    conjuncts: &'t [ScalarExpr],
+) -> impl Iterator<Item = Result<(usize, &'t Row)>> + 't {
+    let rows = table.rows();
+    let (pinned, scan, residual) = match index_path(table, conjuncts) {
+        Some(path) => (Some(path.positions), 0..0, path.residual),
+        None => (None, 0..rows.len(), conjuncts.iter().collect()),
+    };
+    pinned.into_iter().flatten().chain(scan).filter_map(move |i| {
+        let row = &rows[i];
+        for c in &residual {
+            match eval_predicate(c, row) {
+                Ok(true) => {}
+                Ok(false) => return None,
+                Err(e) => return Some(Err(e)),
+            }
+        }
+        Some(Ok((i, row)))
+    })
+}
 
 /// Rows a `Select` reads through an index, and the conjuncts still to
 /// be evaluated on them (in their original order).

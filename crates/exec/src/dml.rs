@@ -6,10 +6,11 @@
 // torn table (see clippy.toml). Bubble a Result instead. Tests exempt.
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
+use crate::access::matching_rows;
 use crate::eval::{eval, eval_predicate};
 use fgac_algebra::{bind_table_expr, ParamScope, ScalarExpr};
 use fgac_sql::{self as sql};
-use fgac_storage::{Database, InclusionDependency};
+use fgac_storage::{Database, InclusionDependency, Table};
 use fgac_types::{Error, Ident, Result, Row, Value};
 
 /// Result of a DML statement.
@@ -28,17 +29,24 @@ pub fn execute_insert(db: &mut Database, stmt: &sql::Insert, params: &ParamScope
     Ok(DmlOutcome { affected })
 }
 
-/// Inserts every row or none: on any constraint/type failure the table
-/// is restored to its pre-statement state before the error propagates.
+/// Inserts every row or none: on any constraint/type failure the rows
+/// this call inserted are rolled back through the statement journal
+/// before the error propagates. Runs inside the caller's open statement,
+/// or in one of its own when none is open.
 pub fn insert_all_atomic(db: &mut Database, table: &Ident, rows: Vec<Row>) -> Result<usize> {
-    let snap = db.snapshot_table(table)?;
-    match try_insert_all(db, table, rows) {
-        Ok(n) => Ok(n),
-        Err(e) => {
-            db.restore_table(snap)?;
-            Err(e)
-        }
+    let own = !db.in_statement();
+    if own {
+        db.begin_statement();
     }
+    let start = db.savepoint();
+    let out = try_insert_all(db, table, rows);
+    if out.is_err() {
+        db.rollback_to(start);
+    }
+    if own {
+        db.end_statement();
+    }
+    out
 }
 
 fn try_insert_all(db: &mut Database, table: &Ident, rows: Vec<Row>) -> Result<usize> {
@@ -100,9 +108,33 @@ pub fn insert_rows(db: &Database, stmt: &sql::Insert, params: &ParamScope) -> Re
     Ok(out)
 }
 
-/// The bound form of an UPDATE: optional filter plus per-column
+/// Binds a DML statement's `WHERE` clause over `table` as its list of
+/// conjuncts (nested `AND`s flattened; no clause, no conjuncts). The
+/// filter is then evaluated as a query's `Select` is: conjunct by
+/// conjunct in this order, stopping at the first that is not true —
+/// the semantics [`matching_rows`] serves through an index.
+pub fn bind_filter(
+    db: &Database,
+    table: &Ident,
+    filter: Option<&sql::Expr>,
+    params: &ParamScope,
+) -> Result<Vec<ScalarExpr>> {
+    fn flatten(e: ScalarExpr, out: &mut Vec<ScalarExpr>) {
+        match e {
+            ScalarExpr::And(es) => es.into_iter().for_each(|e| flatten(e, out)),
+            other => out.push(other),
+        }
+    }
+    let mut conjuncts = Vec::new();
+    if let Some(f) = filter {
+        flatten(bind_table_expr(db.catalog(), table, f, params)?, &mut conjuncts);
+    }
+    Ok(conjuncts)
+}
+
+/// The bound form of an UPDATE: filter conjuncts plus per-column
 /// assignment expressions, all over the table row.
-pub type BoundUpdate = (Option<ScalarExpr>, Vec<(usize, ScalarExpr)>);
+pub type BoundUpdate = (Vec<ScalarExpr>, Vec<(usize, ScalarExpr)>);
 
 /// Binds an `UPDATE`'s filter and assignments.
 pub fn bind_update(
@@ -114,11 +146,7 @@ pub fn bind_update(
         .catalog()
         .table(&stmt.table)
         .ok_or_else(|| Error::Bind(format!("unknown table {}", stmt.table)))?;
-    let filter = stmt
-        .filter
-        .as_ref()
-        .map(|f| bind_table_expr(db.catalog(), &stmt.table, f, params))
-        .transpose()?;
+    let filter = bind_filter(db, &stmt.table, stmt.filter.as_ref(), params)?;
     let assignments = stmt
         .assignments
         .iter()
@@ -137,71 +165,68 @@ pub fn bind_update(
 /// Executes an `UPDATE`.
 pub fn execute_update(db: &mut Database, stmt: &sql::Update, params: &ParamScope) -> Result<DmlOutcome> {
     let (filter, assignments) = bind_update(db, stmt, params)?;
-    let affected = update_matching(db, &stmt.table, filter.as_ref(), &assignments)?;
+    let table = db.table_required(&stmt.table)?;
+    let updates = updated_rows(table, &filter, &assignments, |_, _| Ok(()))?;
+    let affected = db.apply_row_updates(&stmt.table, updates)?;
     Ok(DmlOutcome { affected })
 }
 
-/// Applies bound assignments to rows matching the filter; returns the
-/// number of rows updated.
+/// The rows an `UPDATE` writes: `(position, new row)` for every row
+/// the filter matches, in scan order. `check(old, new)` vets each pair
+/// as it is computed (update authorization); its error ends the search.
 ///
-/// Evaluate-before-mutate: the filter and every assignment are
-/// evaluated for **all** matching rows before the first row is written,
-/// so an evaluation error on the Nth match leaves the table untouched
-/// rather than half-updated. The write itself goes through
+/// Evaluate-before-mutate: nothing is written here, so an evaluation
+/// error on the Nth match leaves the table untouched rather than
+/// half-updated. The caller writes through
 /// `Database::apply_row_updates`, which type-checks every replacement
 /// row before applying any.
-pub fn update_matching(
-    db: &mut Database,
-    table: &Ident,
-    filter: Option<&ScalarExpr>,
+pub fn updated_rows(
+    table: &Table,
+    filter: &[ScalarExpr],
     assignments: &[(usize, ScalarExpr)],
-) -> Result<usize> {
-    let t = db.table_required(table)?;
+    mut check: impl FnMut(&Row, &Row) -> Result<()>,
+) -> Result<Vec<(usize, Row)>> {
     let mut updates = Vec::new();
-    for (i, row) in t.rows().iter().enumerate() {
-        let hit = match filter {
-            None => true,
-            Some(f) => eval_predicate(f, row)?,
-        };
-        if !hit {
-            continue;
-        }
+    for hit in matching_rows(table, filter) {
+        let (i, row) = hit?;
         #[cfg(feature = "fault-injection")]
         fgac_types::faults::hit("exec::update_row")?;
         let mut new = row.clone();
         for (idx, e) in assignments {
             new.0[*idx] = eval(e, row)?;
         }
+        check(row, &new)?;
         updates.push((i, new));
     }
-    db.apply_row_updates(table, updates)
+    Ok(updates)
 }
 
 /// Executes a `DELETE`.
 pub fn execute_delete(db: &mut Database, stmt: &sql::Delete, params: &ParamScope) -> Result<DmlOutcome> {
-    let filter = stmt
-        .filter
-        .as_ref()
-        .map(|f| bind_table_expr(db.catalog(), &stmt.table, f, params))
-        .transpose()?;
-    // Evaluate-before-mutate: decide the full victim set first so a
-    // filter evaluation error deletes nothing.
-    let t = db.table_required(&stmt.table)?;
-    let mut victims = Vec::new();
-    for (i, row) in t.rows().iter().enumerate() {
-        let hit = match &filter {
-            None => true,
-            Some(f) => eval_predicate(f, row)?,
-        };
-        if !hit {
-            continue;
-        }
-        #[cfg(feature = "fault-injection")]
-        fgac_types::faults::hit("exec::delete_row")?;
-        victims.push(i);
-    }
+    let filter = bind_filter(db, &stmt.table, stmt.filter.as_ref(), params)?;
+    let victims = deleted_positions(db.table_required(&stmt.table)?, &filter, |_| Ok(()))?;
     let affected = db.delete_at(&stmt.table, &victims)?;
     Ok(DmlOutcome { affected })
+}
+
+/// The positions a `DELETE` removes: every row the filter matches, in
+/// scan order, each vetted by `check` (delete authorization) as it is
+/// found. Evaluate-before-mutate, like [`updated_rows`]: the caller
+/// deletes by position only once the whole victim set is decided.
+pub fn deleted_positions(
+    table: &Table,
+    filter: &[ScalarExpr],
+    mut check: impl FnMut(&Row) -> Result<()>,
+) -> Result<Vec<usize>> {
+    let mut victims = Vec::new();
+    for hit in matching_rows(table, filter) {
+        let (i, row) = hit?;
+        #[cfg(feature = "fault-injection")]
+        fgac_types::faults::hit("exec::delete_row")?;
+        check(row)?;
+        victims.push(i);
+    }
+    Ok(victims)
 }
 
 /// Audits a (possibly conditional) inclusion dependency against the

@@ -17,7 +17,8 @@
 //! O(|result|) clones rather than O(|table|). The [`rows_cloned`]
 //! counter makes that cost observable to tests and benches. Selects
 //! that pin an indexed key with literals read only the pinned rows
-//! through the table's index, keeping scan order.
+//! through the table's index, keeping scan order; UPDATE and DELETE
+//! find their victims the same way ([`matching_rows`]).
 
 mod access;
 mod dml;
@@ -25,9 +26,10 @@ mod eval;
 mod exec;
 mod pushdown;
 
+pub use access::matching_rows;
 pub use dml::{
-    audit_inclusion, bind_update, execute_delete, execute_insert, execute_update,
-    insert_all_atomic, insert_rows, update_matching, DmlOutcome,
+    audit_inclusion, bind_filter, bind_update, deleted_positions, execute_delete, execute_insert,
+    execute_update, insert_all_atomic, insert_rows, updated_rows, DmlOutcome,
 };
 pub use eval::{eval, eval_predicate};
 pub use exec::{

@@ -3,6 +3,7 @@
 use crate::catalog::{Catalog, TableMeta, ViewDef};
 use crate::constraint::{ForeignKey, InclusionDependency};
 use crate::delta::TableDelta;
+use crate::journal::{Journal, Savepoint, Undo};
 use crate::table::Table;
 use fgac_types::{Error, Ident, Result, Row, Schema, Value};
 use std::collections::BTreeMap;
@@ -18,6 +19,11 @@ use std::collections::BTreeMap;
 /// appends a [`TableDelta`] describing it, which the WAL layer drains per
 /// statement. Recording is off by default and costs nothing when off.
 ///
+/// A statement opened with [`Database::begin_statement`] journals the
+/// before-image of every row mutation (the `journal` module), so
+/// [`Database::rollback_to`] can undo it in O(rows touched); the DML
+/// paths roll back through it on every error, panic and failed commit.
+///
 /// Each table keeps a [`crate::KeyIndex`] per key-column list the
 /// catalog names for it (see [`Database::index_columns`]); the row
 /// mutations here maintain them, and lookups by key —
@@ -29,10 +35,13 @@ pub struct Database {
     tables: BTreeMap<Ident, Table>,
     recording: bool,
     deltas: Vec<TableDelta>,
+    journal: Option<Journal>,
 }
 
-/// Undo record for one table: the rows as they were when the snapshot
-/// was taken. See [`Database::snapshot_table`].
+/// A whole-table copy: the rows as they were when the snapshot was
+/// taken. See [`Database::snapshot_table`]. The engine rolls back
+/// through the statement journal instead; tests and benchmarks use
+/// snapshots as an independent reference.
 #[derive(Debug, Clone)]
 pub struct TableSnapshot {
     table: Ident,
@@ -179,21 +188,18 @@ impl Database {
         fgac_types::faults::hit("storage::insert")?;
         self.check_pk_free(table, &row)?;
         self.check_fk_parents(table, &row)?;
-        let recorded = self.recording.then(|| row.clone());
-        self.table_mut(table)?.insert(row)?;
-        if let Some(row) = recorded {
-            self.deltas.push(TableDelta::Insert {
-                table: table.clone(),
-                row,
-            });
-        }
-        Ok(())
+        self.insert_unchecked(table, row)
     }
 
     /// Inserts without constraint checks — bulk loading only.
     pub fn insert_unchecked(&mut self, table: &Ident, row: Row) -> Result<()> {
         let recorded = self.recording.then(|| row.clone());
-        self.table_mut(table)?.insert(row)?;
+        let t = self.table_mut(table)?;
+        t.insert(row)?;
+        let before = t.len() - 1;
+        if let Some(journal) = &mut self.journal {
+            journal.appended(table, before);
+        }
         if let Some(row) = recorded {
             self.deltas.push(TableDelta::Insert {
                 table: table.clone(),
@@ -291,7 +297,11 @@ impl Database {
         updates: Vec<(usize, Row)>,
     ) -> Result<usize> {
         let recorded = self.recording.then(|| updates.clone());
-        let n = self.table_mut(table)?.apply_row_updates(updates)?;
+        let old = self.table_mut(table)?.replace_rows(updates)?;
+        let n = old.len();
+        if let Some(journal) = &mut self.journal {
+            journal.push(table, Undo::Replace(old));
+        }
         if let Some(updates) = recorded {
             self.deltas.push(TableDelta::Update {
                 table: table.clone(),
@@ -304,7 +314,11 @@ impl Database {
     /// Removes the rows of `table` at the given positions; returns how
     /// many were removed.
     pub fn delete_at(&mut self, table: &Ident, indexes: &[usize]) -> Result<usize> {
-        let n = self.table_mut(table)?.delete_at(indexes);
+        let removed = self.table_mut(table)?.remove_rows(indexes);
+        let n = removed.len();
+        if let Some(journal) = &mut self.journal {
+            journal.push(table, Undo::Remove(removed));
+        }
         if self.recording {
             self.deltas.push(TableDelta::Delete {
                 table: table.clone(),
@@ -314,9 +328,52 @@ impl Database {
         Ok(n)
     }
 
-    /// Captures the current rows of `table` for undo. Pair with
-    /// [`Database::restore_table`] to roll a failed multi-row mutation
-    /// back to exactly this state.
+    /// Opens a statement: from here until [`Database::end_statement`]
+    /// every row mutation journals its before-image, so
+    /// [`Database::rollback_to`] can undo it. Opening a statement while
+    /// one is open discards the old journal.
+    pub fn begin_statement(&mut self) {
+        self.journal = Some(Journal::default());
+    }
+
+    /// Whether a statement is open.
+    pub fn in_statement(&self) -> bool {
+        self.journal.is_some()
+    }
+
+    /// The current point of the open statement: rolling back to it
+    /// undoes every mutation made after this call.
+    pub fn savepoint(&self) -> Savepoint {
+        Savepoint {
+            undo: self.journal.as_ref().map_or(0, Journal::len),
+            deltas: self.deltas.len(),
+        }
+    }
+
+    /// Undoes every row mutation journaled since `sp`, newest first,
+    /// restoring the rows byte-identically and in their original
+    /// order, and drops the deltas recorded since. The indexes of the
+    /// tables touched re-sort on their next use. Without an open
+    /// statement there is nothing journaled to undo.
+    pub fn rollback_to(&mut self, sp: Savepoint) {
+        if let Some(journal) = &mut self.journal {
+            for (table, undo) in journal.unwind(sp.undo) {
+                if let Some(t) = self.tables.get_mut(&table) {
+                    t.undo(undo);
+                }
+            }
+        }
+        self.deltas.truncate(sp.deltas);
+    }
+
+    /// Closes the statement, dropping its journal: its mutations stand.
+    pub fn end_statement(&mut self) {
+        self.journal = None;
+    }
+
+    /// Captures a copy of the current rows of `table`. Pair with
+    /// [`Database::restore_table`] to put the table back to exactly
+    /// this state.
     pub fn snapshot_table(&self, table: &Ident) -> Result<TableSnapshot> {
         Ok(TableSnapshot {
             table: table.clone(),
@@ -325,9 +382,8 @@ impl Database {
     }
 
     /// Restores a table to a previously captured snapshot, discarding
-    /// every mutation since. Its indexes re-sort on their next use. The schema cannot have changed in between:
-    /// snapshots live within a single statement and DDL runs on the
-    /// admin path only.
+    /// every mutation since. Its indexes re-sort on their next use. The
+    /// schema must not have changed in between.
     pub fn restore_table(&mut self, snap: TableSnapshot) -> Result<()> {
         self.table_mut(&snap.table)?.restore_rows(snap.rows);
         Ok(())
@@ -588,5 +644,70 @@ mod tests {
         ];
         assert!(d.load_unchecked(&s, bad).is_err());
         assert!(d.table(&s).unwrap().contains_key(&[0], &["90".into()]));
+    }
+
+    fn rows(d: &Database, t: &Ident) -> Vec<Row> {
+        d.table(t).unwrap().rows().to_vec()
+    }
+
+    #[test]
+    fn rollback_restores_rows_in_order_and_lookups() {
+        let mut d = db();
+        let s = Ident::new("students");
+        for i in 0..6 {
+            d.insert(&s, Row(vec![format!("{i}").into(), "x".into()])).unwrap();
+        }
+        d.table(&s).unwrap().build_indexes();
+        let before = rows(&d, &s);
+        d.set_delta_recording(true);
+        d.begin_statement();
+        let start = d.savepoint();
+        d.insert(&s, Row(vec!["9".into(), "new".into()])).unwrap();
+        d.apply_row_updates(&s, vec![(2, Row(vec!["2".into(), "upd".into()]))])
+            .unwrap();
+        d.delete_at(&s, &[0, 3, 6]).unwrap();
+        d.insert(&s, Row(vec!["0".into(), "again".into()])).unwrap();
+        d.apply_row_updates(&s, vec![(0, Row(vec!["7".into(), "key".into()]))])
+            .unwrap();
+        assert_eq!(d.take_deltas().len(), 5);
+        d.rollback_to(start);
+        d.end_statement();
+        assert_eq!(rows(&d, &s), before);
+        assert!(d.take_deltas().is_empty());
+        let t = d.table(&s).unwrap();
+        for i in 0..10 {
+            let key = Value::Str(format!("{i}"));
+            let scan: Vec<usize> = (0..t.len()).filter(|&p| t.rows()[p].get(0) == &key).collect();
+            assert_eq!(t.lookup(&[(0, &key)]), Some(scan));
+        }
+    }
+
+    #[test]
+    fn appends_share_an_entry_per_run_and_savepoints_nest() {
+        let mut d = db();
+        let (s, r) = (Ident::new("students"), Ident::new("registered"));
+        let row = |a: &str, b: &str| Row(vec![a.into(), b.into()]);
+        d.insert(&s, row("1", "ann")).unwrap();
+        assert_eq!(d.savepoint().undo, 0, "nothing journaled outside a statement");
+
+        d.begin_statement();
+        let loaded: Vec<Row> = (10..60).map(|i| row(&format!("{i}"), "x")).collect();
+        d.load_unchecked(&s, loaded).unwrap();
+        assert_eq!(d.savepoint().undo, 1, "a bulk load is one entry");
+        let mid = d.savepoint();
+        d.insert(&r, row("1", "cs1")).unwrap();
+        d.insert(&s, row("2", "bob")).unwrap();
+        d.insert(&r, row("2", "cs1")).unwrap();
+        assert_eq!(d.savepoint().undo, 4, "a run is per table");
+        // One position replaced twice in one call: its first image wins.
+        d.apply_row_updates(&s, vec![(0, row("1", "a")), (0, row("1", "b"))])
+            .unwrap();
+        d.rollback_to(mid);
+        assert_eq!(d.table(&s).unwrap().len(), 51);
+        assert_eq!(d.table(&s).unwrap().rows()[0], row("1", "ann"));
+        assert!(d.table(&r).unwrap().is_empty());
+        d.rollback_to(Savepoint { undo: 0, deltas: 0 });
+        d.end_statement();
+        assert_eq!(rows(&d, &s), vec![row("1", "ann")]);
     }
 }

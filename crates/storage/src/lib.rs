@@ -24,6 +24,7 @@ mod constraint;
 mod database;
 mod delta;
 mod index;
+mod journal;
 mod table;
 
 pub use catalog::{Catalog, TableMeta, ViewDef};
@@ -31,4 +32,5 @@ pub use constraint::{ForeignKey, InclusionDependency};
 pub use database::{Database, TableSnapshot};
 pub use delta::TableDelta;
 pub use index::KeyIndex;
+pub use journal::Savepoint;
 pub use table::Table;

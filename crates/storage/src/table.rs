@@ -1,6 +1,7 @@
 //! Multiset tables.
 
 use crate::index::KeyIndex;
+use crate::journal::Undo;
 use fgac_types::{DataType, Error, Ident, Result, Row, Schema, Value};
 
 /// An in-memory table holding a multiset of rows.
@@ -11,9 +12,9 @@ use fgac_types::{DataType, Error, Ident, Result, Row, Schema, Value};
 /// The table also keeps one [`KeyIndex`] per column list the
 /// [`crate::Database`] asks for (keys and constraint columns). Every row
 /// mutation below maintains the built ones in place. An index is built
-/// — sorted once — by the first lookup that needs it; bulk loads and
-/// restores discard the permutations instead of maintaining them row by
-/// row.
+/// — sorted once — by the first lookup that needs it; bulk loads,
+/// restores and journal rollbacks discard the permutations instead of
+/// maintaining them row by row.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: Ident,
@@ -133,6 +134,12 @@ impl Table {
     /// **all** replacements — either every update lands or none do.
     /// Indexes must be in bounds (callers derive them from `rows()`).
     pub fn apply_row_updates(&mut self, updates: Vec<(usize, Row)>) -> Result<usize> {
+        self.replace_rows(updates).map(|old| old.len())
+    }
+
+    /// [`Table::apply_row_updates`], returning each replaced row's old
+    /// image in the order replaced (the statement journal's undo).
+    pub(crate) fn replace_rows(&mut self, updates: Vec<(usize, Row)>) -> Result<Vec<(usize, Row)>> {
         let mut checked = Vec::with_capacity(updates.len());
         for (i, new) in updates {
             if i >= self.rows.len() {
@@ -145,7 +152,7 @@ impl Table {
             self.check_row(&new)?;
             checked.push((i, self.coerce(new)));
         }
-        let n = checked.len();
+        let mut old = Vec::with_capacity(checked.len());
         // Per built index, the positions whose key columns change; they
         // fit in u32 because the index holds every row.
         let mut moved: Vec<Vec<u32>> = vec![Vec::new(); self.indexes.len()];
@@ -155,22 +162,28 @@ impl Table {
                     moved.push(i as u32);
                 }
             }
-            self.rows[i] = new;
+            old.push((i, std::mem::replace(&mut self.rows[i], new)));
         }
         for (ix, mut moved) in self.indexes.iter_mut().zip(moved) {
             moved.sort_unstable();
             moved.dedup();
             ix.reposition(&self.rows, &moved);
         }
-        Ok(n)
+        Ok(old)
     }
 
     /// Removes the rows at the given positions (any order, duplicates
     /// ignored); returns how many were removed. Infallible by design:
     /// callers decide *what* to delete before any row is touched.
     pub fn delete_at(&mut self, indexes: &[usize]) -> usize {
+        self.remove_rows(indexes).len()
+    }
+
+    /// [`Table::delete_at`], returning the removed rows with their
+    /// positions before the removal, ascending (the journal's undo).
+    pub(crate) fn remove_rows(&mut self, indexes: &[usize]) -> Vec<(usize, Row)> {
         if indexes.is_empty() {
-            return 0;
+            return Vec::new();
         }
         let mut victim = vec![false; self.rows.len()];
         for &i in indexes {
@@ -178,15 +191,19 @@ impl Table {
                 *v = true;
             }
         }
-        let before = self.rows.len();
-        let mut i = 0;
-        self.rows.retain(|_| {
-            let keep = !victim[i];
-            i += 1;
-            keep
-        });
-        let removed = before - self.rows.len();
-        if removed > 0 && self.indexes.iter().any(|ix| ix.positions().is_some()) {
+        // Compact in place: survivors slide down over the victims.
+        let mut removed = Vec::new();
+        let mut kept = 0;
+        for (i, &gone) in victim.iter().enumerate() {
+            if gone {
+                removed.push((i, std::mem::replace(&mut self.rows[i], Row(Vec::new()))));
+            } else {
+                self.rows.swap(kept, i);
+                kept += 1;
+            }
+        }
+        self.rows.truncate(kept);
+        if !removed.is_empty() && self.indexes.iter().any(|ix| ix.positions().is_some()) {
             // Old position -> new position; the rows kept fit in u32
             // because a built index holds them all.
             let mut next = 0u32;
@@ -204,6 +221,35 @@ impl Table {
             }
         }
         removed
+    }
+
+    /// Reverses one journaled mutation, restoring the rows exactly as
+    /// they were before it. The indexes re-sort on their next use:
+    /// rollback runs on error paths only.
+    pub(crate) fn undo(&mut self, undo: Undo) {
+        match undo {
+            Undo::Append(len) => self.rows.truncate(len),
+            Undo::Replace(old) => {
+                // Newest first, so a position replaced twice ends with
+                // its first old image.
+                for (i, row) in old.into_iter().rev() {
+                    if let Some(slot) = self.rows.get_mut(i) {
+                        *slot = row;
+                    }
+                }
+            }
+            Undo::Remove(removed) => {
+                let mut survivors = std::mem::take(&mut self.rows).into_iter();
+                let mut rows = Vec::with_capacity(survivors.len() + removed.len());
+                for (pos, row) in removed {
+                    rows.extend(survivors.by_ref().take(pos.saturating_sub(rows.len())));
+                    rows.push(row);
+                }
+                rows.extend(survivors);
+                self.rows = rows;
+            }
+        }
+        self.discard_indexes();
     }
 
     /// A copy of the stored rows, for undo (see `Database::snapshot_table`).

@@ -12,6 +12,11 @@
 //!   filter over `Table::rows()`: the same rows in the same order, or
 //!   the same error. The literals cover NULL, an Int on a Double column,
 //!   a Double on an Int column, mismatched types and both orientations.
+//! * **DML victims.** Random authorized DELETEs and UPDATEs run on two
+//!   engines holding the same rows, one with key and constraint indexes
+//!   and one with none: the affected counts, the first error
+//!   (unauthorized tuple, type error, division by zero) and the rows
+//!   left behind must be identical.
 
 use fgac::prelude::*;
 use fgac_algebra::{CmpOp, Plan, ScalarExpr};
@@ -412,4 +417,155 @@ fn c3_state_probe_reads_through_the_registration_key() {
         evals < 10,
         "the probe evaluated {evals} expressions over {registered} registrations"
     );
+}
+
+/// `t(k, v, d, w)` with the same 60 rows on both engines: `indexed`
+/// keys `(k, v)` and gets a `d` index from a self inclusion dependency;
+/// `plain` has no key, so every victim search scans.
+fn dml_engines(rng: &mut StdRng) -> (Engine, Engine) {
+    let columns = "k int not null, v varchar not null, d double, w int";
+    let mut indexed = Engine::new();
+    indexed
+        .admin_script(&format!(
+            "create table t ({columns}, primary key (k, v));
+             create inclusion dependency d_self on t (d) references t (d);"
+        ))
+        .unwrap();
+    let mut plain = Engine::new();
+    plain
+        .admin_script(&format!("create table t ({columns});"))
+        .unwrap();
+    let rows: Vec<Row> = (0..60)
+        .map(|i| {
+            let d = match rng.gen_range(0..5) {
+                0 => Value::Null,
+                1 => Value::Double(0.5),
+                k => Value::Double((k - 2) as f64),
+            };
+            let w = if rng.gen_range(0..4) == 0 {
+                Value::Null
+            } else {
+                Value::Int(rng.gen_range(-1..4))
+            };
+            Row(vec![Value::Int(i % 6), Value::Str(format!("v{}", i % 10)), d, w])
+        })
+        .collect();
+    let conditions = [
+        "k <> 3",
+        "w is null or w < 2",
+        "d >= 0.5",
+        "k / w > 0",
+        "old(k) = new(k)",
+        "v <> 'v7'",
+    ];
+    let mut grants = Vec::new();
+    for action in ["delete", "update"] {
+        for _ in 0..rng.gen_range(1..3) {
+            let cond = conditions[rng.gen_range(0..conditions.len())];
+            grants.push(format!("authorize {action} on t where {cond}"));
+        }
+    }
+    for e in [&mut indexed, &mut plain] {
+        e.admin_load(&Ident::new("t"), rows.clone()).unwrap();
+        for g in &grants {
+            e.grant_update_sql("u", g).unwrap();
+        }
+    }
+    (indexed, plain)
+}
+
+/// A random `WHERE` clause: pins on the indexed columns in either
+/// orientation, widened and mismatched literals, NULL, and conjuncts
+/// that can fail.
+fn dml_filter(rng: &mut StdRng) -> String {
+    let conjuncts: Vec<String> = (0..rng.gen_range(1..4))
+        .map(|_| {
+            match rng.gen_range(0..12) {
+                0 | 1 => format!("k = {}", rng.gen_range(0..7)),
+                2 => format!("{} = k", rng.gen_range(0..7)),
+                3 | 4 => format!("v = 'v{}'", rng.gen_range(0..11)),
+                5 => format!("d = {}", rng.gen_range(-1..3)),
+                6 => "d = 0.5".into(),
+                7 => "k = 1.0".into(),
+                8 => "k = 'x'".into(),
+                9 => format!("w / (k - {}) >= 0", rng.gen_range(0..6)),
+                10 => "d = null".into(),
+                _ => format!("w < {}", rng.gen_range(0..4)),
+            }
+        })
+        .collect();
+    conjuncts.join(" and ")
+}
+
+fn dml_stmt(rng: &mut StdRng) -> String {
+    let filter = dml_filter(rng);
+    match rng.gen_range(0..3) {
+        0 => format!("delete from t where {filter}"),
+        1 => format!("update t set w = w + 1 where {filter}"),
+        _ => format!("update t set k = k + 1, d = 2 where {filter}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn dml_victims_and_first_error_match_the_scan(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut indexed, mut plain) = dml_engines(&mut rng);
+        let s = Session::new("u");
+        for _ in 0..6 {
+            let sql = dml_stmt(&mut rng);
+            let got = indexed.execute(&s, &sql).map(|r| r.affected());
+            let want = plain.execute(&s, &sql).map(|r| r.affected());
+            prop_assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "{}",
+                sql
+            );
+            let t = Ident::new("t");
+            prop_assert_eq!(
+                indexed.database().table(&t).unwrap().rows(),
+                plain.database().table(&t).unwrap().rows(),
+                "{}",
+                sql
+            );
+        }
+    }
+}
+
+/// Evaluations one user statement performs, counted by the `exec::eval`
+/// fault site armed never to fire.
+fn dml_evals(e: &mut Engine, sql: &str) -> u64 {
+    faults::arm("exec::eval", Fault::ErrorOnNth(u64::MAX));
+    e.execute(&Session::new("u"), sql).unwrap();
+    let n = faults::hits("exec::eval");
+    faults::disarm_all();
+    n
+}
+
+#[test]
+fn pinned_dml_reads_only_the_pinned_rows() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let (mut indexed, mut plain) = dml_engines(&mut rng);
+    for e in [&mut indexed, &mut plain] {
+        e.grant_update_sql("u", "authorize delete on t where k = 2").unwrap();
+        e.grant_update_sql("u", "authorize update on t where k = 2").unwrap();
+    }
+    // Every conjunct is a pin, so the index path evaluates no filter:
+    // only the pinned rows' assignments and authorizations, which the
+    // scan evaluates too — on top of the filter's first comparison (3
+    // evaluations) on each of the 60 rows.
+    for sql in [
+        "update t set w = 1 where k = 2",
+        "delete from t where v = 'v2' and k = 2",
+    ] {
+        let pinned = dml_evals(&mut indexed, sql);
+        let scanned = dml_evals(&mut plain, sql);
+        assert!(
+            pinned + 60 * 3 <= scanned,
+            "{sql}: {pinned} evaluations through the index, {scanned} scanning"
+        );
+    }
 }
